@@ -297,15 +297,32 @@ impl Turquois {
         })
     }
 
+    /// Whether the evidence store already holds `sig` for `env`'s
+    /// `(sender, phase, value)`; if so the attachment is authentic
+    /// without a memo probe or a hash (DESIGN.md §8). Sound because the
+    /// store only ever receives verified entries, [`KeyRing::verify`]
+    /// reads exactly those three fields plus the signature, and no
+    /// verdict ever flips from `true` to `false` (see
+    /// [`KeyRing::epoch_stamp`]). Counted in telemetry as one
+    /// verification answered from cache, in both memo modes.
+    fn held_evidence(&self, env: &Envelope, sig: &OneTimeSignature) -> bool {
+        let held = self.evidence.holds_signature(env, sig);
+        if held {
+            turquois_crypto::telemetry::count_verify_call();
+            turquois_crypto::telemetry::count_cache_hit();
+        }
+        held
+    }
+
     /// The per-message batched verify queue (DESIGN.md §12): collects
     /// the justification entries whose memo keys will miss, hashes
     /// their signatures through the multi-lane kernel in one batch, and
     /// returns the per-entry precomputed hashes for
-    /// [`Turquois::verify_cached_with`]. Entries already cached (or
-    /// duplicated within the bundle — the first lookup will insert
-    /// them) get `None` and take the ordinary path. With memoization
-    /// disabled everything gets `None`, so the `TURQUOIS_NO_MEMO`
-    /// baseline re-executes exactly the work it always did.
+    /// [`Turquois::verify_cached_with`]. Held evidence, entries already
+    /// cached, and duplicates within the bundle (the first lookup will
+    /// insert them) get `None`. With memoization disabled everything
+    /// gets `None`, so the `TURQUOIS_NO_MEMO` baseline hashes every
+    /// entry that is not held evidence one at a time.
     fn prehash_justification(&mut self, justification: &JustEntries<'_>) -> Vec<Option<Digest>> {
         let mut pre = vec![None; justification.len()];
         if justification.len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
@@ -316,6 +333,9 @@ impl Turquois {
         let mut lanes: Vec<usize> = Vec::new();
         for i in 0..justification.len() {
             let (env, sig) = justification.entry(i);
+            if self.evidence.holds_signature(&env, &sig) {
+                continue;
+            }
             let key = (env.phase, env.sender, env.value.index() as u8, sig.0);
             if self.verify_cache.contains(&key) || !seen.insert(key) {
                 continue;
@@ -519,16 +539,20 @@ impl Turquois {
         receipt: &mut Receipt,
     ) {
         // Authenticity of each attachment; inauthentic ones are dropped,
-        // authentic ones become evidence. The memo-missing entries are
-        // hashed through the multi-lane kernel in one batch first;
-        // every entry still costs one logical verification.
+        // authentic ones become evidence. Re-attached evidence the store
+        // already holds is authentic as it stands (see
+        // `held_evidence`); the other memo-missing entries are hashed
+        // through the multi-lane kernel in one batch first. Every entry
+        // still costs one logical verification.
         let pre = self.prehash_justification(&just);
         let mut extras = std::mem::take(&mut self.extras_scratch);
         extras.clear();
         for (i, pre_i) in pre.iter().enumerate() {
             let (env, sig) = just.entry(i);
             receipt.sig_verifications += 1;
-            if self.verify_cached_with(&env, &sig, pre_i.as_ref()) {
+            let authentic = self.held_evidence(&env, &sig)
+                || self.verify_cached_with(&env, &sig, pre_i.as_ref());
+            if authentic {
                 extras.push((env, sig));
             }
         }
@@ -543,9 +567,12 @@ impl Turquois {
         }
 
         // Attachments that independently pass semantic validation also
-        // enter V_i — they are protocol messages in their own right.
+        // enter V_i — they are protocol messages in their own right. An
+        // attachment V_i already holds would only be a no-op insert, so
+        // it skips the O(bundle) check.
         for (env, sig) in &extras {
             if env.phase >= gc_floor
+                && !self.valid.contains(env)
                 && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
                     .is_ok()
             {
@@ -910,19 +937,30 @@ mod tests {
     fn keys_exhaustion_surfaces() {
         let cfg = Config::evaluation(4).expect("valid");
         let rings = KeyRing::trusted_setup(4, 2, 5); // only phases 1–2
-        let mut p = Turquois::new(cfg, 0, true, rings.into_iter().next().expect("ring 0"), 1);
-        assert!(p.on_tick().is_ok());
-        // Force the phase beyond the covered range via internal state:
-        // feed a quorum is complex here, so simulate by direct call.
-        p.state = ProcessState::new(cfg, 0, true);
-        for _ in 0..2 {
-            // advance phase artificially through catch-up on valid msgs
+        let mut procs: Vec<Turquois> = rings
+            .into_iter()
+            .enumerate()
+            .map(|(i, ring)| Turquois::new(cfg, i, true, ring, i as u64))
+            .collect();
+        // Synchronous rounds until a tick outruns the key horizon.
+        for round in 1..=2u32 {
+            let msgs: Vec<Bytes> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phases 1–2").bytes)
+                .collect();
+            for p in procs.iter_mut() {
+                for m in &msgs {
+                    p.on_message(m);
+                }
+            }
+            assert!(procs.iter().all(|p| p.phase() == round + 1));
         }
-        // Simpler: sign directly at phase 3.
-        assert!(matches!(
-            p.keyring.sign(3, Value::One),
-            Err(SignError::PhaseOutOfRange { .. })
-        ));
+        for p in procs.iter_mut() {
+            assert!(matches!(
+                p.on_tick(),
+                Err(OutboundError::KeysExhausted(SignError::PhaseOutOfRange { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -1045,6 +1083,63 @@ mod tests {
         );
     }
 
+    /// Held-evidence soundness: a re-broadcast bundle that re-attaches
+    /// an entry the receiver already holds, but with one signature byte
+    /// flipped, must not ride the held-evidence short-circuit. The
+    /// forgery is verified, rejected, kept out of the evidence store,
+    /// and still charged; the receiver ends up exactly where a twin fed
+    /// the honest bytes does.
+    #[test]
+    fn forged_copy_of_held_entry_is_rejected() {
+        let run = |corrupt: bool| {
+            let mut procs = make_group(4, &[true], 19);
+            let msgs: Vec<Bytes> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .collect();
+            for p in procs.iter_mut() {
+                for m in &msgs {
+                    p.on_message(m);
+                }
+            }
+            let _first = procs[0].on_tick().expect("keys cover phase");
+            let mut rebroadcast = procs[0].on_tick().expect("keys cover phase").message;
+            let (held_env, held_sig) = rebroadcast.justification[1];
+            assert!(
+                procs[1].evidence.holds_signature(&held_env, &held_sig),
+                "the receiver already holds the re-attached entry"
+            );
+            let mut forged = held_sig;
+            forged.0[17] ^= 0x40;
+            if corrupt {
+                rebroadcast.justification[1].1 = forged;
+            }
+            let before = turquois_crypto::telemetry::HotpathSnapshot::now();
+            let receipt = procs[1].on_message(&rebroadcast.encode());
+            let d = turquois_crypto::telemetry::HotpathSnapshot::now().delta_since(&before);
+            assert_eq!(
+                receipt.sig_verifications,
+                1 + rebroadcast.justification.len(),
+                "every entry is charged one logical verification"
+            );
+            assert_eq!(
+                d.cache_misses,
+                u64::from(corrupt) + 1,
+                "only the outer signature and a forgery reach the verifier"
+            );
+            assert!(!procs[1].evidence.holds_signature(&held_env, &forged));
+            assert!(procs[1].evidence.holds_signature(&held_env, &held_sig));
+            let p1 = &procs[1];
+            let counts: Vec<(usize, usize)> = (1..=3)
+                .map(|phase| (p1.valid_senders_at(phase), p1.evidence_senders_at(phase)))
+                .collect();
+            let records = p1.evidence.record_count();
+            let decisions = run_synchronous(&mut procs, 20);
+            (receipt, counts, records, decisions)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
     /// A Byzantine flood of distinct forged signatures fills the cache
     /// past capacity; eviction must only ever cost a recomputation —
     /// never flip a verdict.
@@ -1156,12 +1251,18 @@ mod tests {
         /// uncached [`KeyRing::verify`] oracle: for every delivery —
         /// honest (`mask == 0`), corrupted, or an exact replay (which
         /// the cache answers) — the instance reports `AuthFailed`
-        /// exactly when the oracle rejects the outer signature.
+        /// exactly when the oracle rejects the outer signature, and no
+        /// justification entry the oracle rejects ever enters the
+        /// evidence store. Deliveries are justified phase-2
+        /// re-broadcasts whose outer signature (`entry == 0`) or one
+        /// attached entry's signature is corrupted; they go both to a
+        /// receiver that already holds every honest entry (the
+        /// held-evidence short-circuit) and to one that starts cold.
         #[test]
         fn cached_instance_matches_uncached_oracle(
             seed in 0u64..1000,
             ops in proptest::collection::vec(
-                (1usize..4, 0usize..32, 0u8..=255u8, 1usize..4),
+                (1usize..4, 0usize..4, 0usize..32, 0u8..=255u8, 1usize..4),
                 1..40,
             ),
         ) {
@@ -1169,27 +1270,60 @@ mod tests {
             let cfg = Config::evaluation(n).expect("valid n");
             let rings = KeyRing::trusted_setup(n, PHASES, seed);
             let oracle = rings[0].clone();
+            let cold = Turquois::new(cfg, 0, true, oracle.clone(), seed);
             let mut procs: Vec<Turquois> = rings
                 .into_iter()
                 .enumerate()
-                .map(|(i, r)| Turquois::new(cfg, i, i % 2 == 0, r, seed + i as u64))
+                .map(|(i, r)| Turquois::new(cfg, i, true, r, seed + i as u64))
                 .collect();
-            // One honest broadcast per peer, mutated and replayed below.
-            let honest: Vec<Bytes> = (1..n)
-                .map(|i| procs[i].on_tick().expect("keys cover phase").bytes)
+            // One synchronous round takes everyone to phase 2; each
+            // peer's second phase-2 tick carries its justification.
+            let round: Vec<Bytes> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phase").bytes)
                 .collect();
-            for (sender, idx, mask, copies) in ops {
-                let mut bytes = honest[sender - 1].to_vec();
-                bytes[8 + idx] ^= mask; // signature bytes (offset 8..40)
+            for p in procs.iter_mut() {
+                for m in &round {
+                    p.on_message(m);
+                }
+            }
+            let honest: Vec<Message> = (1..n)
+                .map(|i| {
+                    let _bare = procs[i].on_tick().expect("keys cover phase");
+                    procs[i].on_tick().expect("keys cover phase").message
+                })
+                .collect();
+            let mut receivers = [procs.swap_remove(0), cold];
+            for (sender, entry, idx, mask, copies) in ops {
+                let mut msg = honest[sender - 1].clone();
+                proptest::prop_assert!(!msg.justification.is_empty());
+                if entry == 0 {
+                    msg.signature.0[idx] ^= mask;
+                } else {
+                    let k = (entry - 1) % msg.justification.len();
+                    msg.justification[k].1 .0[idx] ^= mask;
+                }
+                let bytes = msg.encode();
+                let outer_ok = oracle.verify(&msg.envelope, &msg.signature);
                 for _ in 0..copies {
-                    let receipt = procs[0].on_message(&bytes);
-                    let msg = Message::decode(&bytes, &cfg).expect("corruption keeps the layout");
-                    let oracle_ok = oracle.verify(&msg.envelope, &msg.signature);
-                    proptest::prop_assert_eq!(
-                        receipt.outcome == MessageOutcome::AuthFailed,
-                        !oracle_ok,
-                        "cached verdict diverged from the oracle"
-                    );
+                    for receiver in receivers.iter_mut() {
+                        let receipt = receiver.on_message(&bytes);
+                        proptest::prop_assert_eq!(
+                            receipt.outcome == MessageOutcome::AuthFailed,
+                            !outer_ok,
+                            "cached verdict diverged from the oracle"
+                        );
+                        let charged = if outer_ok { 1 + msg.justification.len() } else { 1 };
+                        proptest::prop_assert_eq!(receipt.sig_verifications, charged);
+                        for (env, sig) in &msg.justification {
+                            proptest::prop_assert_eq!(
+                                receiver.evidence.holds_signature(env, sig),
+                                oracle.verify(env, sig)
+                                    && (outer_ok || receiver.evidence.contains(env)),
+                                "evidence store disagrees with the oracle on an entry"
+                            );
+                        }
+                    }
                 }
             }
         }

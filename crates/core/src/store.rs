@@ -340,6 +340,34 @@ impl PhaseSlot {
         }
     }
 
+    /// Whether `sender` has a record with exactly this content. O(1) in
+    /// the compact layout (one mask bit), a ≤ 12-entry scan in the
+    /// legacy one.
+    fn has_record(&self, sender: usize, value: Value, coin_flip: bool, status: Status) -> bool {
+        match &self.repr {
+            SlotRepr::Legacy(senders) => senders[sender]
+                .iter()
+                .any(|r| r.value == value && r.coin_flip == coin_flip && r.status == status),
+            SlotRepr::Compact { masks, .. } => {
+                masks[sender] & (1u16 << combo_code(value, coin_flip, status)) != 0
+            }
+        }
+    }
+
+    /// The signature recorded at the first insert of `(sender, value)`.
+    fn signature_of(&self, sender: usize, value: Value) -> Option<OneTimeSignature> {
+        match &self.repr {
+            SlotRepr::Legacy(senders) => senders[sender]
+                .iter()
+                .find(|r| r.value == value)
+                .map(|r| r.signature),
+            SlotRepr::Compact { sig_idx, sigs, .. } => {
+                let idx = sig_idx[sender][value_idx(value)];
+                (idx != NO_SIG).then(|| sigs[idx as usize])
+            }
+        }
+    }
+
     /// Total records stored in this slot.
     fn record_count(&self) -> usize {
         match &self.repr {
@@ -476,6 +504,25 @@ impl MessageStore {
         self.phases
             .get(&phase)
             .is_some_and(|s| s.sender_has_value(sender, value))
+    }
+
+    /// Whether a record with exactly `envelope`'s content is stored —
+    /// i.e. whether [`MessageStore::insert`] of it would be a no-op.
+    /// O(1) in the compact layout.
+    pub fn contains(&self, envelope: &Envelope) -> bool {
+        self.phases.get(&envelope.phase).is_some_and(|s| {
+            s.has_record(envelope.sender, envelope.value, envelope.coin_flip, envelope.status)
+        })
+    }
+
+    /// Whether the signature stored for `envelope`'s
+    /// `(sender, phase, value)` is byte-identical to `signature`. Only
+    /// those three fields are consulted — exactly what a one-time
+    /// signature authenticates. O(1) in the compact layout.
+    pub fn holds_signature(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
+        self.phases
+            .get(&envelope.phase)
+            .is_some_and(|s| s.signature_of(envelope.sender, envelope.value) == Some(*signature))
     }
 
     /// The best catch-up candidate: a record with phase strictly above
@@ -767,6 +814,28 @@ mod tests {
     }
 
     #[test]
+    fn contains_and_holds_signature_queries() {
+        for legacy in [false, true] {
+            let mut s = MessageStore::with_legacy(3, legacy);
+            let stored = env(1, 4, Value::Zero);
+            s.insert(&stored, sig(7));
+            assert!(s.contains(&stored));
+            assert!(s.holds_signature(&stored, &sig(7)));
+            assert!(!s.holds_signature(&stored, &sig(8)), "a different signature is not held");
+            // Same signed triple, different flags: the signature is held
+            // but the record is not.
+            let mut flagged = stored;
+            flagged.status = Status::Decided;
+            assert!(!s.contains(&flagged));
+            assert!(s.holds_signature(&flagged, &sig(7)));
+            for other in [env(1, 4, Value::One), env(2, 4, Value::Zero), env(1, 5, Value::Zero)] {
+                assert!(!s.contains(&other));
+                assert!(!s.holds_signature(&other, &sig(7)));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "sender out of range")]
     fn insert_rejects_out_of_range_sender() {
         let mut s = MessageStore::new(2);
@@ -857,6 +926,18 @@ mod tests {
                             compact.has_sender_value(phase, sender, value),
                             legacy.has_sender_value(phase, sender, value)
                         );
+                        for coin_flip in [false, true] {
+                            for status in [Status::Undecided, Status::Decided] {
+                                let e = Envelope { sender, phase, value, coin_flip, status };
+                                assert_eq!(compact.contains(&e), legacy.contains(&e));
+                                for b in 0..4u8 {
+                                    assert_eq!(
+                                        compact.holds_signature(&e, &sig(b)),
+                                        legacy.holds_signature(&e, &sig(b))
+                                    );
+                                }
+                            }
+                        }
                     }
                     for limit in [1usize, 3, usize::MAX] {
                         assert_eq!(
