@@ -1,5 +1,5 @@
 //! Codec micro-benchmarks (host wall-clock): the flat-arena message
-//! codec against the legacy owned-`Vec` codec it replaces
+//! codec the engines use against the owned-`Vec` encode/decode pair
 //! (DESIGN.md §13).
 //!
 //! * **decode_owned** — [`Message::decode`], materializing the

@@ -34,7 +34,7 @@
 
 use crate::config::Config;
 use crate::keyring::KeyRing;
-use crate::message::{legacy_codec_enabled, DecodeError, Envelope, Message, MessageView, Status};
+use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
 use crate::store::MessageStore;
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
@@ -174,47 +174,14 @@ pub struct Turquois {
     /// message reuses the wire bytes instead of re-serializing.
     last_wire: Option<(Message, Bytes)>,
     /// Pooled encode scratch for outbound wire bytes (flat-arena
-    /// codec, DESIGN.md §13). Host-only: produces the same bytes the
-    /// legacy per-message builder would.
+    /// codec, DESIGN.md §13). Host-only: produces the same bytes
+    /// [`Message::encode`] would.
     arena: EncodeArena,
     /// Recycled buffer for the authentic justification entries of the
     /// message currently being processed; cleared per message so the
     /// steady state performs no allocation.
     extras_scratch: Vec<(Envelope, OneTimeSignature)>,
     rng: StdRng,
-}
-
-/// The justification entries of an incoming message, independent of
-/// which codec produced them: a materialized slice (legacy) or a
-/// borrowed [`MessageView`] reading offsets out of the receive buffer.
-enum JustEntries<'a> {
-    /// Legacy codec: entries already materialized in a `Vec`.
-    Owned(&'a [(Envelope, OneTimeSignature)]),
-    /// Arena codec: entries read on demand from the wire bytes.
-    View(&'a MessageView<'a>),
-}
-
-impl<'a> JustEntries<'a> {
-    fn len(&self) -> usize {
-        match self {
-            JustEntries::Owned(s) => s.len(),
-            JustEntries::View(v) => v.justification_len(),
-        }
-    }
-
-    fn entry(&self, i: usize) -> (Envelope, OneTimeSignature) {
-        match self {
-            JustEntries::Owned(s) => s[i],
-            JustEntries::View(v) => v.entry(i),
-        }
-    }
-
-    fn sig_bytes(&self, i: usize) -> &'a [u8] {
-        match self {
-            JustEntries::Owned(s) => &s[i].1 .0,
-            JustEntries::View(v) => v.sig_bytes(i),
-        }
-    }
 }
 
 impl std::fmt::Debug for Turquois {
@@ -323,15 +290,15 @@ impl Turquois {
     /// insert them) get `None`. With memoization disabled everything
     /// gets `None`, so the `TURQUOIS_NO_MEMO` baseline hashes every
     /// entry that is not held evidence one at a time.
-    fn prehash_justification(&mut self, justification: &JustEntries<'_>) -> Vec<Option<Digest>> {
-        let mut pre = vec![None; justification.len()];
-        if justification.len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
+    fn prehash_justification(&mut self, justification: &MessageView<'_>) -> Vec<Option<Digest>> {
+        let mut pre = vec![None; justification.justification_len()];
+        if justification.justification_len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
             return pre;
         }
         self.refresh_verify_cache();
         let mut seen = std::collections::BTreeSet::new();
         let mut lanes: Vec<usize> = Vec::new();
-        for i in 0..justification.len() {
+        for i in 0..justification.justification_len() {
             let (env, sig) = justification.entry(i);
             if self.evidence.holds_signature(&env, &sig) {
                 continue;
@@ -400,10 +367,9 @@ impl Turquois {
     }
 
     /// Approximate resident bytes of the two message stores (evidence
-    /// and `V_i`). Deterministic and layout-independent — a function of
-    /// store *contents*, not of the compact/legacy representation — so
-    /// it can feed stall-report telemetry without threatening output
-    /// byte-identity under `TURQUOIS_LEGACY_STORE=1`.
+    /// and `V_i`). Deterministic — a function of store *contents*, not
+    /// of allocator behaviour — so it can feed stall-report telemetry
+    /// without threatening output byte-identity.
     pub fn store_bytes(&self) -> usize {
         self.evidence.approx_bytes() + self.valid.approx_bytes()
     }
@@ -459,13 +425,10 @@ impl Turquois {
                 });
             }
         }
-        let bytes = if legacy_codec_enabled() {
-            message.encode()
-        } else {
-            // Arena codec: stage into the pooled chunk — same bytes,
-            // one recycled allocation instead of two fresh ones.
-            self.arena.encode_with(|buf| message.encode_into(buf))
-        };
+        // Stage into the pooled chunk: the bytes `Message::encode`
+        // would produce, in one recycled allocation instead of two
+        // fresh ones.
+        let bytes = self.arena.encode_with(|buf| message.encode_into(buf));
         self.last_wire = Some((message.clone(), bytes.clone()));
         Ok(Outbound { bytes, message })
     }
@@ -479,76 +442,43 @@ impl Turquois {
             phase_advanced: false,
             newly_decided: None,
         };
-        if legacy_codec_enabled() {
-            // Legacy codec: materialize the justification Vec, exactly
-            // as the pre-arena receive path did.
-            let message = match Message::decode(bytes, &self.cfg) {
-                Ok(m) => m,
-                Err(e) => {
-                    receipt.outcome = MessageOutcome::DecodeFailed(e);
-                    return receipt;
-                }
-            };
-            // Authenticity of the outer message (one logical hash —
-            // charged to simulated CPU whether or not the memo cache
-            // answers it).
-            receipt.sig_verifications += 1;
-            if !self.verify_cached(&message.envelope, &message.signature) {
-                receipt.outcome = MessageOutcome::AuthFailed;
+        // Borrow the justification entries straight out of the receive
+        // buffer — no per-message allocation.
+        let view = match MessageView::parse(bytes, &self.cfg) {
+            Ok(v) => v,
+            Err(e) => {
+                receipt.outcome = MessageOutcome::DecodeFailed(e);
                 return receipt;
             }
-            self.process(
-                message.envelope,
-                message.signature,
-                JustEntries::Owned(&message.justification),
-                &mut receipt,
-            );
-        } else {
-            // Arena codec: borrow the justification entries straight
-            // out of the receive buffer — no per-message allocation.
-            let view = match MessageView::parse(bytes, &self.cfg) {
-                Ok(v) => v,
-                Err(e) => {
-                    receipt.outcome = MessageOutcome::DecodeFailed(e);
-                    return receipt;
-                }
-            };
-            receipt.sig_verifications += 1;
-            if !self.verify_cached(&view.envelope(), &view.signature()) {
-                receipt.outcome = MessageOutcome::AuthFailed;
-                return receipt;
-            }
-            self.process(
-                view.envelope(),
-                view.signature(),
-                JustEntries::View(&view),
-                &mut receipt,
-            );
+        };
+        // Authenticity of the outer message (one logical hash — charged
+        // to simulated CPU whether or not the memo cache answers it).
+        receipt.sig_verifications += 1;
+        if !self.verify_cached(&view.envelope(), &view.signature()) {
+            receipt.outcome = MessageOutcome::AuthFailed;
+            return receipt;
         }
+        self.process(&view, &mut receipt);
         receipt
     }
 
-    /// The codec-independent back half of [`Turquois::on_message`]:
-    /// attachment verification, evidence/valid store insertion, semantic
-    /// validation of the outer message, and state advancement.
-    fn process(
-        &mut self,
-        envelope: Envelope,
-        signature: OneTimeSignature,
-        just: JustEntries<'_>,
-        receipt: &mut Receipt,
-    ) {
+    /// The back half of [`Turquois::on_message`] for an authentic
+    /// outer message: attachment verification, evidence/valid store
+    /// insertion, semantic validation of the outer message, and state
+    /// advancement.
+    fn process(&mut self, view: &MessageView<'_>, receipt: &mut Receipt) {
+        let (envelope, signature) = (view.envelope(), view.signature());
         // Authenticity of each attachment; inauthentic ones are dropped,
         // authentic ones become evidence. Re-attached evidence the store
         // already holds is authentic as it stands (see
         // `held_evidence`); the other memo-missing entries are hashed
         // through the multi-lane kernel in one batch first. Every entry
         // still costs one logical verification.
-        let pre = self.prehash_justification(&just);
+        let pre = self.prehash_justification(view);
         let mut extras = std::mem::take(&mut self.extras_scratch);
         extras.clear();
         for (i, pre_i) in pre.iter().enumerate() {
-            let (env, sig) = just.entry(i);
+            let (env, sig) = view.entry(i);
             receipt.sig_verifications += 1;
             let authentic = self.held_evidence(&env, &sig)
                 || self.verify_cached_with(&env, &sig, pre_i.as_ref());
@@ -1209,39 +1139,32 @@ mod tests {
         );
     }
 
-    /// The two codecs drive the engine identically: same receipts,
-    /// same wire bytes, same decisions, tick by tick.
+    /// The arena-staged wire bytes are exactly the owned encoding of
+    /// the outbound message, and the borrowed view decodes them to the
+    /// same message the owned decoder does, tick by tick through a run
+    /// to decision.
     #[test]
-    fn codec_paths_are_observationally_identical() {
-        use crate::message::set_legacy_codec;
-        let initial = legacy_codec_enabled();
-        let run = |legacy: bool| {
-            set_legacy_codec(legacy);
-            let mut procs = make_group(4, &[true, false], 55);
-            let mut log: Vec<(Vec<u8>, Receipt)> = Vec::new();
-            for _ in 0..40 {
-                let msgs: Vec<Bytes> = procs
-                    .iter_mut()
-                    .map(|p| p.on_tick().expect("keys cover phase").bytes)
-                    .collect();
+    fn wire_bytes_match_owned_codec() {
+        let cfg = Config::evaluation(4).expect("valid");
+        let mut procs = make_group(4, &[true, false], 55);
+        for _ in 0..40 {
+            let outs: Vec<Outbound> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phase"))
+                .collect();
+            for out in &outs {
+                assert_eq!(&out.bytes[..], &out.message.encode()[..]);
+                let view = MessageView::parse(&out.bytes, &cfg).expect("valid");
+                assert_eq!(Ok(view.to_message()), Message::decode(&out.bytes, &cfg));
                 for p in procs.iter_mut() {
-                    for m in &msgs {
-                        let r = p.on_message(m);
-                        log.push((m.to_vec(), r));
-                    }
-                }
-                if procs.iter().all(|p| p.decision().is_some()) {
-                    break;
+                    p.on_message(&out.bytes);
                 }
             }
-            let decisions: Vec<Option<bool>> = procs.iter().map(|p| p.decision()).collect();
-            (log, decisions)
-        };
-        let legacy = run(true);
-        let arena = run(false);
-        set_legacy_codec(initial);
-        assert_eq!(legacy.1, arena.1, "decisions diverged across codecs");
-        assert_eq!(legacy.0, arena.0, "wire bytes or receipts diverged across codecs");
+            if procs.iter().all(|p| p.decision().is_some()) {
+                break;
+            }
+        }
+        assert!(procs.iter().all(|p| p.decision().is_some()));
     }
 
     proptest::proptest! {

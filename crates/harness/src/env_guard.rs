@@ -14,20 +14,14 @@
 pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
-    "TURQUOIS_EAGER_KEYS",
     "TURQUOIS_FM_FORCE_STALL",
     "TURQUOIS_HOTPATH_JSON",
     "TURQUOIS_HOTPATH_STATS",
-    "TURQUOIS_LEGACY_CODEC",
-    "TURQUOIS_LEGACY_MEDIUM",
-    "TURQUOIS_LEGACY_QUEUE",
-    "TURQUOIS_LEGACY_STORE",
     "TURQUOIS_NO_MEMO",
     "TURQUOIS_PARTITION_JSON",
     "TURQUOIS_REPS",
     "TURQUOIS_SABOTAGE",
     "TURQUOIS_SCALAR_SHA",
-    "TURQUOIS_SIMCORE_JSON",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -62,33 +56,27 @@ mod tests {
         // so keep every case in a single #[test] to avoid races with
         // parallel test threads touching TURQUOIS_* variables.
         std::env::set_var("TURQUOIS_REPETITIONS", "50");
-        std::env::set_var("TURQUOIS_LEGACY_MEDUIM", "1");
+        std::env::set_var("TURQUOIS_FM_FORCE_STAL", "1");
         std::env::set_var("TURQUOIS_REPS", "2");
-        std::env::set_var("TURQUOIS_LEGACY_MEDIUM", "1");
+        std::env::set_var("TURQUOIS_FM_FORCE_STALL", "1");
         std::env::set_var("TURQUOIS_PARTITION_JSON", "/tmp/bp.json");
         std::env::set_var("TURQUOIS_SCALAR_SHA", "1");
         std::env::set_var("TURQUOIS_SCALER_SHA", "1");
-        std::env::set_var("TURQUOIS_LEGACY_CODEC", "1");
-        std::env::set_var("TURQUOIS_LEGACY_CODEX", "1");
         let unknown = warn_unknown_env_vars();
         std::env::remove_var("TURQUOIS_REPETITIONS");
-        std::env::remove_var("TURQUOIS_LEGACY_MEDUIM");
+        std::env::remove_var("TURQUOIS_FM_FORCE_STAL");
         std::env::remove_var("TURQUOIS_REPS");
-        std::env::remove_var("TURQUOIS_LEGACY_MEDIUM");
+        std::env::remove_var("TURQUOIS_FM_FORCE_STALL");
         std::env::remove_var("TURQUOIS_PARTITION_JSON");
         std::env::remove_var("TURQUOIS_SCALAR_SHA");
         std::env::remove_var("TURQUOIS_SCALER_SHA");
-        std::env::remove_var("TURQUOIS_LEGACY_CODEC");
-        std::env::remove_var("TURQUOIS_LEGACY_CODEX");
         assert!(unknown.contains(&"TURQUOIS_REPETITIONS".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_LEGACY_MEDUIM".to_string()));
+        assert!(unknown.contains(&"TURQUOIS_FM_FORCE_STAL".to_string()));
         assert!(unknown.contains(&"TURQUOIS_SCALER_SHA".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_REPS".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_LEGACY_MEDIUM".to_string()));
+        assert!(!unknown.contains(&"TURQUOIS_FM_FORCE_STALL".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_PARTITION_JSON".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_SCALAR_SHA".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_LEGACY_CODEX".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_LEGACY_CODEC".to_string()));
     }
 
     #[test]
@@ -97,5 +85,41 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, KNOWN_ENV_VARS, "keep KNOWN_ENV_VARS sorted");
+    }
+
+    /// Every `"TURQUOIS_*"` string literal in the workspace's Rust
+    /// sources (this file's deliberate typos aside) names a known knob,
+    /// and every known knob is read somewhere.
+    #[test]
+    fn known_list_matches_source() {
+        fn scan(dir: &std::path::Path, found: &mut std::collections::BTreeSet<String>) {
+            for entry in std::fs::read_dir(dir).expect("readable source dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    scan(&path, found);
+                } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with(file!()) {
+                    let text = std::fs::read_to_string(&path).expect("utf-8 source");
+                    for (i, _) in text.match_indices("\"TURQUOIS_") {
+                        let name: String = text[i + 1..]
+                            .chars()
+                            .take_while(|c| {
+                                c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_'
+                            })
+                            .collect();
+                        if text[i + 1 + name.len()..].starts_with('"') {
+                            found.insert(name);
+                        }
+                    }
+                }
+            }
+        }
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut found = std::collections::BTreeSet::new();
+        for dir in ["crates", "src", "tests", "examples"] {
+            scan(&root.join(dir), &mut found);
+        }
+        let known: std::collections::BTreeSet<String> =
+            KNOWN_ENV_VARS.iter().map(|s| s.to_string()).collect();
+        assert_eq!(found, known, "KNOWN_ENV_VARS out of sync with the sources");
     }
 }

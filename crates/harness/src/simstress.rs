@@ -1,5 +1,5 @@
-//! Synthetic event-engine stress workload for `simcore_bench` and the
-//! `sim_core` criterion bench.
+//! Synthetic event-engine stress workload for the `sim_core` criterion
+//! bench.
 //!
 //! The paper grids exercise the event queue with realistic but *shallow*
 //! pending sets (a few dozen MAC/timer events in flight). A timer wheel
@@ -14,15 +14,14 @@
 //! * one far-future "chaff" timer armed per firing (100 s – 1000 s out,
 //!   beyond any measured horizon), so the pending set grows linearly
 //!   over the run the way accumulated timeout/GC timers do in long
-//!   protocol runs. The legacy heap pays `O(log E)` on the growing `E`
-//!   for every operation; the wheel parks chaff in a high level or the
-//!   overflow map in `O(1)`.
+//!   protocol runs. A global heap would pay `O(log E)` on the growing
+//!   `E` for every operation; the timer wheel parks chaff in a high
+//!   level or the overflow map in `O(1)`.
 //!
 //! No frames are sent: the workload isolates the event engine from the
 //! CSMA/CA medium so the measured delta is queue cost, not MAC cost.
-//! Everything is deterministic given the seed, so both queue engines
-//! must process **exactly** the same event count — `simcore_bench`
-//! asserts it.
+//! Everything is deterministic given the seed: the same arguments always
+//! process exactly the same events.
 
 use std::time::Duration;
 use wireless_net::frame::ReceivedFrame;
@@ -92,8 +91,7 @@ impl Application for TimerStorm {
     }
 }
 
-/// Builds an `n`-node timer-storm simulator (uses whichever queue
-/// engine `wireless_net::queue` currently selects).
+/// Builds an `n`-node timer-storm simulator.
 pub fn storm_sim(n: usize, seed: u64) -> Simulator {
     let apps: Vec<Box<dyn Application>> = (0..n).map(|_| Box::new(TimerStorm) as _).collect();
     let cfg = SimConfig {
@@ -105,7 +103,7 @@ pub fn storm_sim(n: usize, seed: u64) -> Simulator {
 
 /// Runs the storm for `horizon_ms` of simulated time and returns the
 /// number of events processed. Deterministic given `(n, seed,
-/// horizon_ms)` and identical across queue engines.
+/// horizon_ms)`.
 pub fn run_storm(n: usize, seed: u64, horizon_ms: u64) -> u64 {
     let mut sim = storm_sim(n, seed);
     sim.run_until(SimTime::from_millis(horizon_ms), |_| false);

@@ -986,7 +986,10 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
     }
 
-    fn chatter_sim(n: usize, seed: u64) -> (Simulator, Vec<Shared<Vec<(NodeId, Bytes)>>>) {
+    /// Per-node received `(sender, payload)` logs.
+    type Inboxes = Vec<Shared<Vec<(NodeId, Bytes)>>>;
+
+    fn chatter_sim(n: usize, seed: u64) -> (Simulator, Inboxes) {
         let cells: Vec<_> = (0..n).map(|_| Shared::<Vec<(NodeId, Bytes)>>::new()).collect();
         let apps: Vec<Box<dyn Application>> = cells
             .iter()
