@@ -36,7 +36,7 @@ use crate::config::Config;
 use crate::keyring::KeyRing;
 use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
-use crate::store::MessageStore;
+use crate::store::{combo_code, MessageStore, PhaseProbe};
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
 use bytes::arena::EncodeArena;
 use bytes::Bytes;
@@ -61,6 +61,27 @@ type VerifyKey = (u32, usize, u8, [u8; 32]);
 /// headroom absorbs Byzantine signature floods, whose overflow merely
 /// evicts (and re-verifies) — never mis-answers.
 const VERIFY_CACHE_CAP: usize = 4096;
+
+/// A justification entry the receiver has not absorbed (see
+/// [`Turquois::classify`]), decoded, with whether the evidence store
+/// already held its signature before the frame arrived.
+#[derive(Clone, Copy, Debug)]
+struct Pending {
+    env: Envelope,
+    sig: OneTimeSignature,
+    held: bool,
+}
+
+/// Everything a broadcast's wire bytes are a function of, apart from
+/// the decided-evidence snapshot (capturing one drops the cached
+/// encoding): the envelope, its signature, and — for a justified
+/// re-broadcast — the evidence store's [`MessageStore::generation`].
+#[derive(Clone, Copy, Debug, Eq, PartialEq)]
+struct WireKey {
+    envelope: Envelope,
+    signature: OneTimeSignature,
+    justified_at: Option<u64>,
+}
 
 /// Outcome classification for a processed incoming message.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -170,17 +191,20 @@ pub struct Turquois {
     /// key epochs can turn a cached `false` stale, so a stamp change
     /// clears the cache.
     cache_stamp: u64,
-    /// Last broadcast's encoded form: a re-broadcast of an identical
-    /// message reuses the wire bytes instead of re-serializing.
-    last_wire: Option<(Message, Bytes)>,
+    /// Last broadcast and what it was built from: a tick whose
+    /// [`WireKey`] matches reuses it without building a bundle, and a
+    /// rebuilt message equal to it reuses its wire bytes.
+    last_wire: Option<(WireKey, Outbound)>,
     /// Pooled encode scratch for outbound wire bytes (flat-arena
     /// codec, DESIGN.md §13). Host-only: produces the same bytes
     /// [`Message::encode`] would.
     arena: EncodeArena,
-    /// Recycled buffer for the authentic justification entries of the
-    /// message currently being processed; cleared per message so the
-    /// steady state performs no allocation.
-    extras_scratch: Vec<(Envelope, OneTimeSignature)>,
+    /// Recycled buffers for the message currently being processed: its
+    /// unabsorbed justification entries, and its authentic entries
+    /// below the GC floor. Cleared per message, so the steady state
+    /// performs no allocation.
+    pending_scratch: Vec<Pending>,
+    sub_floor_scratch: Vec<(Envelope, OneTimeSignature)>,
     rng: StdRng,
 }
 
@@ -220,7 +244,8 @@ impl Turquois {
             cache_stamp: keyring.epoch_stamp(),
             last_wire: None,
             arena: EncodeArena::new(),
-            extras_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
+            sub_floor_scratch: Vec::new(),
             keyring,
             rng: StdRng::seed_from_u64(seed ^ 0xc011_5eed),
         }
@@ -256,7 +281,7 @@ impl Turquois {
         pre: Option<&Digest>,
     ) -> bool {
         self.refresh_verify_cache();
-        let key = (env.phase, env.sender, env.value.index() as u8, sig.0);
+        let key = verify_key(env, sig);
         let keyring = &self.keyring;
         self.verify_cache.lookup(key, || match pre {
             Some(sig_hash) => keyring.verify_hashed(env, sig_hash),
@@ -265,7 +290,7 @@ impl Turquois {
     }
 
     /// Whether the evidence store already holds `sig` for `env`'s
-    /// `(sender, phase, value)`; if so the attachment is authentic
+    /// `(sender, phase, value)`; if so the signature is authentic
     /// without a memo probe or a hash (DESIGN.md §8). Sound because the
     /// store only ever receives verified entries, [`KeyRing::verify`]
     /// reads exactly those three fields plus the signature, and no
@@ -275,44 +300,77 @@ impl Turquois {
     fn held_evidence(&self, env: &Envelope, sig: &OneTimeSignature) -> bool {
         let held = self.evidence.holds_signature(env, sig);
         if held {
-            turquois_crypto::telemetry::count_verify_call();
-            turquois_crypto::telemetry::count_cache_hit();
+            turquois_crypto::telemetry::count_verify_hits(1);
         }
         held
     }
 
+    /// Counts the justification entries this node has *absorbed* and
+    /// decodes the others into `pending`, in bundle order. An entry is
+    /// absorbed when the evidence store holds its signature and both
+    /// the evidence store and `V_i` hold its exact record: it is
+    /// authentic as it stands (see [`Turquois::held_evidence`]), its
+    /// evidence insert would be a no-op, and so would its `V_i` insert,
+    /// so the semantic check guarding that insert has nothing to
+    /// decide. The probes read the entries straight from the receive
+    /// buffer and resolve both stores' phase slots once per run of
+    /// equal phases.
+    fn classify(&self, view: &MessageView<'_>, pending: &mut Vec<Pending>) -> usize {
+        pending.clear();
+        let mut absorbed = 0;
+        let mut slots: Option<(u32, PhaseProbe<'_>, PhaseProbe<'_>)> = None;
+        for i in 0..view.justification_len() {
+            let env = view.entry_envelope(i);
+            let (evidence, valid) = match slots {
+                Some((phase, evidence, valid)) if phase == env.phase => (evidence, valid),
+                _ => {
+                    let evidence = self.evidence.phase_probe(env.phase);
+                    let valid = self.valid.phase_probe(env.phase);
+                    slots = Some((env.phase, evidence, valid));
+                    (evidence, valid)
+                }
+            };
+            let sig = view.sig_bytes(i);
+            let held = evidence.holds_signature(&env, sig);
+            if held && evidence.contains(&env) && valid.contains(&env) {
+                absorbed += 1;
+            } else {
+                let sig = OneTimeSignature(sig.try_into().expect("DIGEST_LEN bytes"));
+                pending.push(Pending { env, sig, held });
+            }
+        }
+        absorbed
+    }
+
     /// The per-message batched verify queue (DESIGN.md §12): collects
-    /// the justification entries whose memo keys will miss, hashes
-    /// their signatures through the multi-lane kernel in one batch, and
+    /// the pending entries whose memo keys will miss, hashes their
+    /// signatures through the multi-lane kernel in one batch, and
     /// returns the per-entry precomputed hashes for
     /// [`Turquois::verify_cached_with`]. Held evidence, entries already
     /// cached, and duplicates within the bundle (the first lookup will
-    /// insert them) get `None`. With memoization disabled everything
-    /// gets `None`, so the `TURQUOIS_NO_MEMO` baseline hashes every
-    /// entry that is not held evidence one at a time.
-    fn prehash_justification(&mut self, justification: &MessageView<'_>) -> Vec<Option<Digest>> {
-        let mut pre = vec![None; justification.justification_len()];
-        if justification.justification_len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
+    /// insert them) get `None`. So does everything when the whole bundle
+    /// (`bundle_len`, absorbed entries included) has fewer than two
+    /// entries, or when memoization is disabled: the `TURQUOIS_NO_MEMO`
+    /// baseline hashes every entry that is not held evidence one at a
+    /// time.
+    fn prehash_pending(&mut self, bundle_len: usize, pending: &[Pending]) -> Vec<Option<Digest>> {
+        let mut pre = vec![None; pending.len()];
+        if pending.is_empty() || bundle_len < 2 || !turquois_crypto::telemetry::memo_enabled() {
             return pre;
         }
         self.refresh_verify_cache();
         let mut seen = std::collections::BTreeSet::new();
         let mut lanes: Vec<usize> = Vec::new();
-        for i in 0..justification.justification_len() {
-            let (env, sig) = justification.entry(i);
-            if self.evidence.holds_signature(&env, &sig) {
+        for (k, p) in pending.iter().enumerate() {
+            let key = verify_key(&p.env, &p.sig);
+            if p.held || self.verify_cache.contains(&key) || !seen.insert(key) {
                 continue;
             }
-            let key = (env.phase, env.sender, env.value.index() as u8, sig.0);
-            if self.verify_cache.contains(&key) || !seen.insert(key) {
-                continue;
-            }
-            lanes.push(i);
+            lanes.push(k);
         }
-        let inputs: Vec<&[u8]> = lanes.iter().map(|&i| justification.sig_bytes(i)).collect();
-        let hashes = sha256_many(&inputs);
-        for (&i, hash) in lanes.iter().zip(hashes) {
-            pre[i] = Some(hash);
+        let inputs: Vec<&[u8]> = lanes.iter().map(|&k| &pending[k].sig.0[..]).collect();
+        for (&k, hash) in lanes.iter().zip(sha256_many(&inputs)) {
+            pre[k] = Some(hash);
         }
         pre
     }
@@ -403,39 +461,57 @@ impl Turquois {
             .sign(envelope.phase, envelope.value)
             .map_err(OutboundError::KeysExhausted)?;
         let rebroadcast = self.last_broadcast == Some(envelope);
+        self.last_broadcast = Some(envelope);
+        // While the key stands the previous broadcast is this one: reuse
+        // it without building a bundle (the clone of the shared wire
+        // buffer is a pointer bump).
+        let key = WireKey {
+            envelope,
+            signature,
+            justified_at: rebroadcast.then(|| self.evidence.generation()),
+        };
+        if let Some((cached, out)) = &self.last_wire {
+            if *cached == key {
+                return Ok(out.clone());
+            }
+        }
         let justification = if rebroadcast {
             self.build_justification(&envelope)
         } else {
             Vec::new()
         };
-        self.last_broadcast = Some(envelope);
         let message = Message {
             envelope,
             signature,
             justification,
         };
-        // Re-broadcasts of an unchanged message (same envelope, same
-        // justification) reuse the previous encoding: the clone of the
-        // shared wire buffer is a pointer bump, not a re-serialization.
-        if let Some((cached, bytes)) = &self.last_wire {
-            if *cached == message {
-                return Ok(Outbound {
-                    bytes: bytes.clone(),
-                    message,
-                });
-            }
-        }
-        // Stage into the pooled chunk: the bytes `Message::encode`
+        // A rebuilt message equal to the last one (its inputs moved, the
+        // bundle did not) keeps the last wire bytes. Anything else is
+        // staged into the pooled chunk: the bytes `Message::encode`
         // would produce, in one recycled allocation instead of two
         // fresh ones.
-        let bytes = self.arena.encode_with(|buf| message.encode_into(buf));
-        self.last_wire = Some((message.clone(), bytes.clone()));
-        Ok(Outbound { bytes, message })
+        let bytes = match &self.last_wire {
+            Some((_, last)) if last.message == message => last.bytes.clone(),
+            _ => self.arena.encode_with(|buf| message.encode_into(buf)),
+        };
+        let out = Outbound { bytes, message };
+        self.last_wire = Some((key, out.clone()));
+        Ok(out)
     }
 
     /// Task T2: process an incoming wire message (including loopbacks of
     /// our own broadcasts).
     pub fn on_message(&mut self, bytes: &[u8]) -> Receipt {
+        self.receive(bytes, Self::process)
+    }
+
+    /// The front half of [`Turquois::on_message`]: decoding and the
+    /// outer signature, handing an authentic message to `process`.
+    fn receive(
+        &mut self,
+        bytes: &[u8],
+        process: fn(&mut Self, &MessageView<'_>, &mut Receipt),
+    ) -> Receipt {
         let mut receipt = Receipt {
             outcome: MessageOutcome::Accepted,
             sig_verifications: 0,
@@ -452,13 +528,16 @@ impl Turquois {
             }
         };
         // Authenticity of the outer message (one logical hash — charged
-        // to simulated CPU whether or not the memo cache answers it).
+        // to simulated CPU whether or not the evidence store or the
+        // memo cache answers it).
         receipt.sig_verifications += 1;
-        if !self.verify_cached(&view.envelope(), &view.signature()) {
+        let (envelope, signature) = (view.envelope(), view.signature());
+        if !(self.held_evidence(&envelope, &signature) || self.verify_cached(&envelope, &signature))
+        {
             receipt.outcome = MessageOutcome::AuthFailed;
             return receipt;
         }
-        self.process(&view, &mut receipt);
+        process(self, &view, &mut receipt);
         receipt
     }
 
@@ -468,53 +547,65 @@ impl Turquois {
     /// advancement.
     fn process(&mut self, view: &MessageView<'_>, receipt: &mut Receipt) {
         let (envelope, signature) = (view.envelope(), view.signature());
-        // Authenticity of each attachment; inauthentic ones are dropped,
-        // authentic ones become evidence. Re-attached evidence the store
-        // already holds is authentic as it stands (see
-        // `held_evidence`); the other memo-missing entries are hashed
-        // through the multi-lane kernel in one batch first. Every entry
-        // still costs one logical verification.
-        let pre = self.prehash_justification(view);
-        let mut extras = std::mem::take(&mut self.extras_scratch);
-        extras.clear();
-        for (i, pre_i) in pre.iter().enumerate() {
-            let (env, sig) = view.entry(i);
-            receipt.sig_verifications += 1;
-            let authentic = self.held_evidence(&env, &sig)
-                || self.verify_cached_with(&env, &sig, pre_i.as_ref());
-            if authentic {
-                extras.push((env, sig));
-            }
-        }
+        // An absorbed attachment is one logical verification and
+        // nothing else (see `classify`).
+        let mut pending = std::mem::take(&mut self.pending_scratch);
+        let absorbed = self.classify(view, &mut pending);
+        receipt.sig_verifications += absorbed;
+        turquois_crypto::telemetry::count_verify_hits(absorbed as u64);
 
-        // Attachments within the GC window enter the evidence store;
-        // older ones still count transiently through the view.
+        // Authenticity of the others, in bundle order; inauthentic ones
+        // are dropped. A held signature is authentic as it stands; the
+        // other memo-missing entries are hashed through the multi-lane
+        // kernel in one batch first. Authentic attachments within the GC
+        // window enter the evidence store; older ones count transiently
+        // through the view.
+        let pre = self.prehash_pending(view.justification_len(), &pending);
         let gc_floor = self.gc_floor();
-        for (env, sig) in &extras {
+        let mut sub_floor = std::mem::take(&mut self.sub_floor_scratch);
+        sub_floor.clear();
+        let mut kept = 0;
+        for k in 0..pending.len() {
+            let Pending { env, sig, held } = pending[k];
+            receipt.sig_verifications += 1;
+            let authentic = if held {
+                turquois_crypto::telemetry::count_verify_hits(1);
+                true
+            } else {
+                self.verify_cached_with(&env, &sig, pre[k].as_ref())
+            };
+            if !authentic {
+                continue;
+            }
             if env.phase >= gc_floor {
-                self.evidence.insert(env, *sig);
+                self.evidence.insert(&env, sig);
+                pending[kept] = pending[k];
+                kept += 1;
+            } else {
+                sub_floor.push((env, sig));
             }
         }
+        pending.truncate(kept);
 
+        // Every authentic attachment at or above the floor is in the
+        // evidence store by now, so the view needs only the older ones.
         // Attachments that independently pass semantic validation also
         // enter V_i — they are protocol messages in their own right. An
-        // attachment V_i already holds would only be a no-op insert, so
-        // it skips the O(bundle) check.
-        for (env, sig) in &extras {
-            if env.phase >= gc_floor
-                && !self.valid.contains(env)
-                && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
-                    .is_ok()
+        // attachment V_i already holds would only be a no-op insert.
+        let evidence = EvidenceView::new(&self.evidence, &sub_floor);
+        for p in &pending {
+            if !self.valid.contains(&p.env) && semantic_check(&p.env, &self.cfg, &evidence).is_ok()
             {
-                self.valid.insert(env, *sig);
+                self.valid.insert(&p.env, p.sig);
             }
         }
 
         // Semantic validation of the outer message.
-        let semantic = semantic_check(&envelope, &self.cfg, &EvidenceView::new(&self.evidence, &extras));
+        let semantic = semantic_check(&envelope, &self.cfg, &evidence);
         // Hand the scratch back for the next message (its capacity is
         // the recycled resource; contents are dead).
-        self.extras_scratch = extras;
+        self.pending_scratch = pending;
+        self.sub_floor_scratch = sub_floor;
         if let Err(reason) = semantic {
             receipt.outcome = MessageOutcome::SemanticFailed(reason);
             self.advance(receipt);
@@ -561,6 +652,9 @@ impl Turquois {
     /// Snapshot the quorum that justifies our decision so `decided`
     /// broadcasts stay justifiable after garbage collection.
     fn capture_decided_evidence(&mut self, value: Value) {
+        // Decided re-broadcasts carry the snapshot: their cached
+        // encoding is stale.
+        self.last_wire = None;
         let quorum = self.cfg.quorum_min();
         for psi in self.evidence.decide_phases().collect::<Vec<_>>() {
             if self.cfg.exceeds_quorum(self.evidence.count_value(psi, value)) {
@@ -594,9 +688,236 @@ impl Turquois {
         top_up_limit: usize,
     ) -> Vec<(Envelope, OneTimeSignature)> {
         let phase = envelope.phase;
-        let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
         let quorum = self.cfg.quorum_min();
         let half = self.cfg.half_quorum_min();
+        let evidence = &self.evidence;
+        let first = |at, value, limit| evidence.first_records(at, Some(value)).take(limit);
+        let mut bundle = Bundle::new(self.cfg.n(), phase.saturating_sub(1));
+
+        if phase > 1 {
+            // Value justification first (its messages double as phase
+            // evidence when they sit at φ − 1).
+            match phase % 3 {
+                2 => bundle.extend(first(phase - 1, envelope.value, half)),
+                0 => match envelope.value {
+                    Value::Bot => {
+                        bundle.extend(first(phase - 2, Value::Zero, half));
+                        bundle.extend(first(phase - 2, Value::One, half));
+                    }
+                    v => bundle.extend(first(phase - 1, v, quorum)),
+                },
+                _ => {
+                    if envelope.coin_flip {
+                        bundle.extend(first(phase - 1, Value::Bot, quorum));
+                    } else {
+                        bundle.extend(first(phase - 2, envelope.value, quorum));
+                    }
+                }
+            }
+            // Phase justification: top the φ − 1 sender count up to a
+            // quorum, reusing whatever the value evidence already
+            // contributed.
+            for (env, sig) in evidence.first_records(phase - 1, None).take(top_up_limit) {
+                if bundle.prev_senders >= quorum {
+                    break;
+                }
+                if !bundle.has_prev_sender(env.sender) {
+                    bundle.push(env, sig);
+                }
+            }
+        }
+
+        // Status justification (decided claims carry their quorum; the
+        // dedupe absorbs overlap with the evidence above).
+        if envelope.status == Status::Decided {
+            bundle.extend(self.decided_evidence.iter().copied());
+        }
+        bundle.entries
+    }
+}
+
+/// A justification bundle under construction. Entries keep insertion
+/// order; duplicates (equal envelopes) are dropped in O(1) through
+/// per-sender combination-code masks, one lane for each phase the
+/// bundle draws from — at most three: φ − 1, φ − 2, and the phase of
+/// the decided-evidence snapshot. The distinct-sender count at φ − 1
+/// is kept alongside for the phase top-up.
+struct Bundle {
+    entries: Vec<(Envelope, OneTimeSignature)>,
+    /// The phase each mask lane stands for (0, never a real phase, marks
+    /// a free lane).
+    lanes: [u32; 3],
+    masks: Vec<[u16; 3]>,
+    prev_phase: u32,
+    prev_senders: usize,
+}
+
+impl Bundle {
+    fn new(n: usize, prev_phase: u32) -> Self {
+        Bundle {
+            entries: Vec::new(),
+            lanes: [0; 3],
+            masks: vec![[0; 3]; n],
+            prev_phase,
+            prev_senders: 0,
+        }
+    }
+
+    fn lane(&mut self, phase: u32) -> usize {
+        if let Some(lane) = self.lanes.iter().position(|&p| p == phase) {
+            return lane;
+        }
+        let lane = self
+            .lanes
+            .iter()
+            .position(|&p| p == 0)
+            .expect("a bundle draws from at most three phases");
+        self.lanes[lane] = phase;
+        lane
+    }
+
+    fn has_prev_sender(&self, sender: usize) -> bool {
+        self.lanes
+            .iter()
+            .position(|&p| p == self.prev_phase)
+            .is_some_and(|lane| self.masks[sender][lane] != 0)
+    }
+
+    fn push(&mut self, env: Envelope, sig: OneTimeSignature) {
+        let lane = self.lane(env.phase);
+        let mask = &mut self.masks[env.sender][lane];
+        let bit = 1u16 << combo_code(env.value, env.coin_flip, env.status);
+        if *mask & bit != 0 {
+            return;
+        }
+        if *mask == 0 && env.phase == self.prev_phase {
+            self.prev_senders += 1;
+        }
+        *mask |= bit;
+        self.entries.push((env, sig));
+    }
+
+    fn extend(&mut self, items: impl IntoIterator<Item = (Envelope, OneTimeSignature)>) {
+        for (env, sig) in items {
+            self.push(env, sig);
+        }
+    }
+}
+
+/// Memo-cache key for verifying `sig` over `env` (see [`VerifyKey`]).
+fn verify_key(env: &Envelope, sig: &OneTimeSignature) -> VerifyKey {
+    (env.phase, env.sender, env.value.index() as u8, sig.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::keyring::KeyRing;
+    use proptest::prelude::TestCaseError;
+    use std::collections::BTreeMap;
+    use turquois_crypto::telemetry::HotpathSnapshot;
+
+    const PHASES: usize = 60;
+
+    /// The retired receive path, kept as the differential reference for
+    /// the absorbed-entry fast path: every attachment goes through the
+    /// held/memo verification loop, the evidence insert, and (unless
+    /// `V_i` holds it) a semantic check against a view extended by the
+    /// whole authentic bundle.
+    impl Turquois {
+        fn on_message_reference(&mut self, bytes: &[u8]) -> Receipt {
+            self.receive(bytes, Self::process_reference)
+        }
+
+        fn prehash_justification(
+            &mut self,
+            justification: &MessageView<'_>,
+        ) -> Vec<Option<Digest>> {
+            let mut pre = vec![None; justification.justification_len()];
+            if justification.justification_len() < 2 || !turquois_crypto::telemetry::memo_enabled()
+            {
+                return pre;
+            }
+            self.refresh_verify_cache();
+            let mut seen = std::collections::BTreeSet::new();
+            let mut lanes: Vec<usize> = Vec::new();
+            for i in 0..justification.justification_len() {
+                let (env, sig) = justification.entry(i);
+                if self.evidence.holds_signature(&env, &sig) {
+                    continue;
+                }
+                let key = verify_key(&env, &sig);
+                if self.verify_cache.contains(&key) || !seen.insert(key) {
+                    continue;
+                }
+                lanes.push(i);
+            }
+            let inputs: Vec<&[u8]> = lanes.iter().map(|&i| justification.sig_bytes(i)).collect();
+            let hashes = sha256_many(&inputs);
+            for (&i, hash) in lanes.iter().zip(hashes) {
+                pre[i] = Some(hash);
+            }
+            pre
+        }
+
+        fn process_reference(&mut self, view: &MessageView<'_>, receipt: &mut Receipt) {
+            let (envelope, signature) = (view.envelope(), view.signature());
+            let pre = self.prehash_justification(view);
+            let mut extras = Vec::new();
+            for (i, pre_i) in pre.iter().enumerate() {
+                let (env, sig) = view.entry(i);
+                receipt.sig_verifications += 1;
+                let authentic = self.held_evidence(&env, &sig)
+                    || self.verify_cached_with(&env, &sig, pre_i.as_ref());
+                if authentic {
+                    extras.push((env, sig));
+                }
+            }
+            let gc_floor = self.gc_floor();
+            for (env, sig) in &extras {
+                if env.phase >= gc_floor {
+                    self.evidence.insert(env, *sig);
+                }
+            }
+            for (env, sig) in &extras {
+                if env.phase >= gc_floor
+                    && !self.valid.contains(env)
+                    && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
+                        .is_ok()
+                {
+                    self.valid.insert(env, *sig);
+                }
+            }
+            let semantic = semantic_check(
+                &envelope,
+                &self.cfg,
+                &EvidenceView::new(&self.evidence, &extras),
+            );
+            if let Err(reason) = semantic {
+                receipt.outcome = MessageOutcome::SemanticFailed(reason);
+                self.advance(receipt);
+                return;
+            }
+            self.evidence.insert(&envelope, signature);
+            if !self.valid.insert(&envelope, signature) {
+                receipt.outcome = MessageOutcome::Duplicate;
+            }
+            self.advance(receipt);
+        }
+    }
+
+    /// The retired bundle builder: dedupe by a linear `any` scan over
+    /// the bundle (O(J²)) and a `BTreeSet` of φ − 1 senders, kept as the
+    /// reference for [`Turquois::build_justification_with`].
+    fn quadratic_bundle(
+        p: &Turquois,
+        envelope: &Envelope,
+        top_up_limit: usize,
+    ) -> Vec<(Envelope, OneTimeSignature)> {
+        let phase = envelope.phase;
+        let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
+        let quorum = p.cfg.quorum_min();
+        let half = p.cfg.half_quorum_min();
         let add = |items: Vec<(Envelope, OneTimeSignature)>,
                    bundle: &mut Vec<(Envelope, OneTimeSignature)>| {
             for (env, sig) in items {
@@ -605,54 +926,32 @@ impl Turquois {
                 }
             }
         };
-
+        let collect = |at, value, limit| p.evidence.collect(at, Some(value), limit);
         if phase > 1 {
-            // Value justification first (its messages double as phase
-            // evidence when they sit at φ − 1).
             match phase % 3 {
-                2 => add(
-                    self.evidence
-                        .collect(phase - 1, Some(envelope.value), half),
-                    &mut bundle,
-                ),
+                2 => add(collect(phase - 1, envelope.value, half), &mut bundle),
                 0 => match envelope.value {
                     Value::Bot => {
-                        add(
-                            self.evidence.collect(phase - 2, Some(Value::Zero), half),
-                            &mut bundle,
-                        );
-                        add(
-                            self.evidence.collect(phase - 2, Some(Value::One), half),
-                            &mut bundle,
-                        );
+                        add(collect(phase - 2, Value::Zero, half), &mut bundle);
+                        add(collect(phase - 2, Value::One, half), &mut bundle);
                     }
-                    v => add(self.evidence.collect(phase - 1, Some(v), quorum), &mut bundle),
+                    v => add(collect(phase - 1, v, quorum), &mut bundle),
                 },
                 _ => {
                     if envelope.coin_flip {
-                        add(
-                            self.evidence.collect(phase - 1, Some(Value::Bot), quorum),
-                            &mut bundle,
-                        );
+                        add(collect(phase - 1, Value::Bot, quorum), &mut bundle);
                     } else {
-                        add(
-                            self.evidence
-                                .collect(phase - 2, Some(envelope.value), quorum),
-                            &mut bundle,
-                        );
+                        add(collect(phase - 2, envelope.value, quorum), &mut bundle);
                     }
                 }
             }
-            // Phase justification: top the φ − 1 sender count up to a
-            // quorum, reusing whatever the value evidence already
-            // contributed.
             let mut senders_at_prev: std::collections::BTreeSet<usize> = bundle
                 .iter()
                 .filter(|(e, _)| e.phase == phase - 1)
                 .map(|(e, _)| e.sender)
                 .collect();
             if senders_at_prev.len() < quorum {
-                for (env, sig) in self.evidence.collect(phase - 1, None, top_up_limit) {
+                for (env, sig) in p.evidence.collect(phase - 1, None, top_up_limit) {
                     if senders_at_prev.len() >= quorum {
                         break;
                     }
@@ -662,22 +961,11 @@ impl Turquois {
                 }
             }
         }
-
-        // Status justification (decided claims carry their quorum; the
-        // dedupe absorbs overlap with the evidence above).
         if envelope.status == Status::Decided {
-            add(self.decided_evidence.clone(), &mut bundle);
+            add(p.decided_evidence.clone(), &mut bundle);
         }
         bundle
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::keyring::KeyRing;
-
-    const PHASES: usize = 60;
 
     fn make_group(n: usize, proposals: &[bool], seed: u64) -> Vec<Turquois> {
         let cfg = Config::evaluation(n).expect("valid n");
@@ -1167,8 +1455,286 @@ mod tests {
         assert!(procs.iter().all(|p| p.decision().is_some()));
     }
 
+    /// A fresh φ − 1 sender, a GC prune, and a decided-evidence capture
+    /// each make the next re-broadcast rebuild its bundle; with none of
+    /// them the tick hands back the previous wire buffer itself.
+    #[test]
+    fn rebroadcast_reuses_bytes_until_its_inputs_change() {
+        let mut procs = make_group(7, &[true], 61);
+        let round: Vec<Outbound> = procs
+            .iter_mut()
+            .map(|p| p.on_tick().expect("keys cover phase"))
+            .collect();
+        // Five phase-1 messages (a quorum at n = 7), sender 1 missing.
+        for p in procs.iter_mut().take(3) {
+            for i in [0, 2, 3, 4, 5] {
+                p.on_message(&round[i].bytes);
+            }
+        }
+        let lock = procs[2].on_tick().expect("keys cover phase");
+        let p = &mut procs[0];
+        assert_eq!(p.phase(), 2);
+        let _bare = p.on_tick().expect("keys cover phase");
+        let first = p.on_tick().expect("keys cover phase");
+        assert!(!first.message.justification.is_empty());
+        let again = p.on_tick().expect("keys cover phase");
+        assert_eq!(
+            again.bytes.as_ptr(),
+            first.bytes.as_ptr(),
+            "nothing changed: same buffer"
+        );
+        assert_eq!(again.message, first.message);
+
+        // Sender 1 sorts before the bundled senders, so its phase-1
+        // message displaces one of them.
+        p.on_message(&round[1].bytes);
+        let changed = p.on_tick().expect("keys cover phase");
+        assert_ne!(changed.message.justification, first.message.justification);
+        let bundle = &changed.message.justification;
+        assert!(bundle.iter().any(|(e, _)| e.sender == 1));
+        assert_eq!(*bundle, p.build_justification(&changed.message.envelope));
+        let again = p.on_tick().expect("keys cover phase");
+        assert_eq!(again.bytes.as_ptr(), changed.bytes.as_ptr());
+
+        // A fresh insert the bundle does not read (phase 2) moves the
+        // generation: the tick rebuilds, finds the same message, and
+        // keeps the buffer under the new key.
+        let generation = p.evidence.generation();
+        assert_eq!(p.on_message(&lock.bytes).outcome, MessageOutcome::Accepted);
+        assert!(p.evidence.generation() > generation);
+        let rebuilt = p.on_tick().expect("keys cover phase");
+        assert_eq!(rebuilt.bytes.as_ptr(), changed.bytes.as_ptr());
+        let (key, _) = p.last_wire.as_ref().expect("cached");
+        assert_eq!(key.justified_at, Some(p.evidence.generation()));
+
+        // A prune that drops phase 1 takes the bundle's evidence with it.
+        p.evidence.prune_below(2);
+        let pruned = p.on_tick().expect("keys cover phase");
+        assert_ne!(pruned.bytes.as_ptr(), changed.bytes.as_ptr());
+        assert!(pruned.message.justification.is_empty());
+        assert_eq!(&pruned.bytes[..], &pruned.message.encode()[..]);
+
+        // A decided process: capturing the decided evidence again (the
+        // envelope and the evidence generation unchanged) rebuilds too.
+        let mut procs = make_group(4, &[true], 62);
+        run_synchronous(&mut procs, 10);
+        let p = &mut procs[0];
+        assert!(p.decision().is_some());
+        let _bare = p.on_tick().expect("keys cover phase");
+        let decided = p.on_tick().expect("keys cover phase");
+        assert_eq!(decided.message.envelope.status, Status::Decided);
+        let again = p.on_tick().expect("keys cover phase");
+        assert_eq!(again.bytes.as_ptr(), decided.bytes.as_ptr());
+        p.capture_decided_evidence(Value::One);
+        let recaptured = p.on_tick().expect("keys cover phase");
+        assert_ne!(recaptured.bytes.as_ptr(), decided.bytes.as_ptr());
+        assert_eq!(recaptured.message, decided.message);
+    }
+
+    /// A signed entry drawn from a recorded run, or made up for a phase
+    /// the run never reached.
+    type Entry = (Envelope, OneTimeSignature);
+
+    /// Everything a lossless synchronous group of `n` broadcast over
+    /// `rounds` rounds, in delivery order, and every signed entry those
+    /// messages carried (outer and attached), grouped by phase. Each
+    /// round every process ticks twice before anything is delivered, so
+    /// the second tick is a justified re-broadcast.
+    fn record_run(n: usize, seed: u64, rounds: usize) -> (Vec<Bytes>, BTreeMap<u32, Vec<Entry>>) {
+        let mut procs = make_group(n, &[true, false], seed);
+        let mut history = Vec::new();
+        let mut pool: BTreeMap<u32, Vec<Entry>> = BTreeMap::new();
+        for _ in 0..rounds {
+            let outs: Vec<Outbound> = procs
+                .iter_mut()
+                .flat_map(|p| [p.on_tick(), p.on_tick()])
+                .map(|out| out.expect("keys cover phase"))
+                .collect();
+            for out in outs {
+                let m = &out.message;
+                let outer = (m.envelope, m.signature);
+                for &(env, sig) in std::iter::once(&outer).chain(&m.justification) {
+                    let at = pool.entry(env.phase).or_default();
+                    if !at.contains(&(env, sig)) {
+                        at.push((env, sig));
+                    }
+                }
+                for p in procs.iter_mut() {
+                    p.on_message(&out.bytes);
+                }
+                history.push(out.bytes);
+            }
+        }
+        (history, pool)
+    }
+
+    /// One receiver twice over: `fast` takes the production receive
+    /// path, `reference` the retired per-entry loop.
+    struct Twins {
+        fast: Turquois,
+        reference: Turquois,
+    }
+
+    impl Twins {
+        fn new(cfg: Config, ring: &KeyRing, seed: u64) -> Self {
+            Twins {
+                fast: Turquois::new(cfg, 0, true, ring.clone(), seed),
+                reference: Turquois::new(cfg, 0, true, ring.clone(), seed),
+            }
+        }
+
+        /// Delivers `bytes` to both twins and checks they agree on the
+        /// receipt, the telemetry the delivery caused, the node state,
+        /// and both stores' answers about every entry in `probes`.
+        fn deliver(&mut self, bytes: &[u8], probes: &[Entry]) -> Result<(), TestCaseError> {
+            let t0 = HotpathSnapshot::now();
+            let fast = self.fast.on_message(bytes);
+            let t1 = HotpathSnapshot::now();
+            let reference = self.reference.on_message_reference(bytes);
+            let t2 = HotpathSnapshot::now();
+            proptest::prop_assert_eq!(fast, reference);
+            proptest::prop_assert_eq!(t1.delta_since(&t0), t2.delta_since(&t1), "telemetry deltas");
+            let (a, b) = (&self.fast, &self.reference);
+            proptest::prop_assert_eq!(a.debug_snapshot(), b.debug_snapshot());
+            proptest::prop_assert_eq!((a.decision(), a.status()), (b.decision(), b.status()));
+            for (x, y) in [(&a.evidence, &b.evidence), (&a.valid, &b.valid)] {
+                proptest::prop_assert_eq!(x.record_count(), y.record_count());
+                for (env, sig) in probes {
+                    proptest::prop_assert_eq!(x.count_phase(env.phase), y.count_phase(env.phase));
+                    proptest::prop_assert_eq!(
+                        x.count_value(env.phase, env.value),
+                        y.count_value(env.phase, env.value)
+                    );
+                    proptest::prop_assert_eq!(x.contains(env), y.contains(env));
+                    proptest::prop_assert_eq!(
+                        x.holds_signature(env, sig),
+                        y.holds_signature(env, sig)
+                    );
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Picks an entry at `phase` from the recorded pool, or signs a fresh
+    /// one when the run never reached `phase`, then applies `kind`:
+    /// 0–3 as it is, 4 the coin flag flipped and 5 the status flipped
+    /// (same signature, a different record), 6 a forged copy (one
+    /// signature byte flipped), 7 a repeat of `prev` if there is one.
+    fn pick_entry(
+        pool: &BTreeMap<u32, Vec<Entry>>,
+        rings: &[KeyRing],
+        (phase, pick, kind, byte): (u32, usize, u8, usize),
+        prev: Option<Entry>,
+    ) -> Entry {
+        let (mut env, mut sig) = match pool.get(&phase) {
+            Some(at) => at[pick % at.len()],
+            None => {
+                let sender = pick % rings.len();
+                let value = [Value::Zero, Value::One][pick / rings.len() % 2];
+                let sig = rings[sender].sign(phase, value).expect("keys cover phase");
+                let env = Envelope {
+                    sender,
+                    phase,
+                    value,
+                    coin_flip: false,
+                    status: Status::Undecided,
+                };
+                (env, sig)
+            }
+        };
+        match kind {
+            4 => env.coin_flip = !env.coin_flip,
+            5 => {
+                env.status = match env.status {
+                    Status::Decided => Status::Undecided,
+                    Status::Undecided => Status::Decided,
+                }
+            }
+            6 => sig.0[byte % 32] ^= 1 << (byte % 8),
+            7 => return prev.unwrap_or((env, sig)),
+            _ => {}
+        }
+        (env, sig)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The absorbed-entry fast path is observationally identical to
+        /// the retired per-entry loop. Receivers warmed on a prefix of a
+        /// recorded run, and cold ones, get random bundles mixing held
+        /// entries, held signatures under another coin flag or status,
+        /// forged copies of held entries, entries below the GC floor,
+        /// repeats within one bundle, and entries at phases the receiver
+        /// has no slot for — then stale re-deliveries of the recorded
+        /// run, in both memo modes. Every delivery must give
+        /// both twins the same receipt, the same telemetry deltas, and
+        /// the same store answers about every entry involved.
+        #[test]
+        fn absorbed_fast_path_matches_per_entry_reference(
+            seed in 0u64..1000,
+            rounds in 1usize..16,
+            warm_percent in 0usize..=100,
+            bundles in proptest::collection::vec(
+                (
+                    0u32..64,
+                    (0usize..64, 0u8..7, 0usize..32),
+                    proptest::collection::vec((0u32..3, 0usize..64, 0u8..8, 0usize..32), 0..=21),
+                ),
+                1..8,
+            ),
+            replays in proptest::collection::vec(0usize..1024, 0..8),
+        ) {
+            let n = 7;
+            let cfg = Config::evaluation(n).expect("valid n");
+            let rings = KeyRing::trusted_setup(n, PHASES, seed);
+            let (history, pool) = record_run(n, seed, rounds);
+            let warm = history.len() * warm_percent / 100;
+            // Bundles centre on the phases the run reached, plus two it
+            // did not.
+            let top = pool.keys().next_back().copied().unwrap_or(1);
+            let initial = turquois_crypto::telemetry::memo_enabled();
+            for memo in [true, false] {
+                turquois_crypto::telemetry::set_memo_enabled(memo);
+                let twins = || Twins::new(cfg, &rings[0], seed);
+                let mut receivers = [twins(), twins()];
+                for bytes in &history[..warm] {
+                    receivers[0].deliver(bytes, &[])?;
+                }
+                for (base, (pick, kind, byte), entries) in &bundles {
+                    let base = 1 + base % (top + 2);
+                    let outer = (base, *pick, *kind, *byte);
+                    let (envelope, signature) = pick_entry(&pool, &rings, outer, None);
+                    let mut justification: Vec<Entry> = Vec::new();
+                    for &(offset, pick, kind, byte) in entries {
+                        let phase = base.saturating_sub(offset).max(1);
+                        let prev = justification.last().copied();
+                        let entry = (phase, pick, kind, byte);
+                        justification.push(pick_entry(&pool, &rings, entry, prev));
+                    }
+                    let message = Message { envelope, signature, justification };
+                    let mut probes = message.justification.clone();
+                    probes.push((envelope, signature));
+                    let bytes = message.encode();
+                    for twins in receivers.iter_mut() {
+                        twins.deliver(&bytes, &probes)?;
+                    }
+                }
+                // Stale re-deliveries: to a receiver that has moved on,
+                // an early re-broadcast's bundle sits below the GC floor.
+                for &r in &replays {
+                    let bytes = &history[r % history.len()];
+                    let message = Message::decode(bytes, &cfg).expect("recorded message");
+                    let mut probes = message.justification.clone();
+                    probes.push((message.envelope, message.signature));
+                    for twins in receivers.iter_mut() {
+                        twins.deliver(bytes, &probes)?;
+                    }
+                }
+            }
+            turquois_crypto::telemetry::set_memo_enabled(initial);
+        }
 
         /// The memoizing instance is observationally identical to an
         /// uncached [`KeyRing::verify`] oracle: for every delivery —
@@ -1252,15 +1818,18 @@ mod tests {
         }
 
         /// Bounding the phase top-up at `quorum` collected entries is
-        /// bit-identical to the retired unbounded scan: on arbitrary
-        /// evidence stores (equivocators, gaps, every phase shape mod 3,
-        /// both coin flips) the bounded bundle equals the unbounded one,
-        /// so bounding never drops a message a receiver needs to justify
-        /// a phase transition.
+        /// bit-identical to the retired unbounded scan, and the
+        /// mask-deduplicated builder is bit-identical to the retired
+        /// quadratic one: on arbitrary evidence stores (equivocators,
+        /// gaps, every phase shape mod 3, both coin flips, both statuses
+        /// with a decided-evidence snapshot that overlaps the value
+        /// evidence) all four bundles agree, so bounding never drops a
+        /// message a receiver needs to justify a phase transition.
         #[test]
         fn bounded_bundle_matches_unbounded_scan(
             seed in 0u64..200,
             phase_sel in 3u32..=8,
+            decided_sel in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
             entries in proptest::collection::vec(
                 (0usize..10, 1u32..=7, 0usize..3, proptest::prelude::any::<bool>()),
                 0..80,
@@ -1287,28 +1856,44 @@ mod tests {
                 };
                 p.evidence.insert(&env, sig);
             }
+            // A decided-evidence snapshot as `capture_decided_evidence`
+            // takes it, at DECIDE phase 3 or 6.
+            let (late, one) = decided_sel;
+            let psi = if late { 6 } else { 3 };
+            let decided_value = if one { Value::One } else { Value::Zero };
+            p.decided_evidence = p.evidence.collect(psi, Some(decided_value), p.cfg.quorum_min());
             let flat = |b: Vec<(Envelope, OneTimeSignature)>| -> Vec<(Envelope, [u8; 32])> {
                 b.into_iter().map(|(e, s)| (e, s.0)).collect()
             };
             for value in [Value::Zero, Value::One, Value::Bot] {
                 for coin in [false, true] {
-                    let env = Envelope {
-                        sender: 0,
-                        phase: phase_sel,
-                        value,
-                        coin_flip: coin,
-                        status: Status::Undecided,
-                    };
-                    let bounded = p.build_justification_with(&env, p.cfg.quorum_min());
-                    let unbounded = p.build_justification_with(&env, usize::MAX);
-                    proptest::prop_assert_eq!(
-                        flat(bounded),
-                        flat(unbounded),
-                        "bounded bundle diverged at phase {} value {:?} coin {}",
-                        phase_sel,
-                        value,
-                        coin
-                    );
+                    for status in [Status::Undecided, Status::Decided] {
+                        let env = Envelope {
+                            sender: 0,
+                            phase: phase_sel,
+                            value,
+                            coin_flip: coin,
+                            status,
+                        };
+                        let quorum = p.cfg.quorum_min();
+                        let bounded = flat(p.build_justification_with(&env, quorum));
+                        for (label, other) in [
+                            ("unbounded", p.build_justification_with(&env, usize::MAX)),
+                            ("quadratic", quadratic_bundle(&p, &env, quorum)),
+                            ("quadratic unbounded", quadratic_bundle(&p, &env, usize::MAX)),
+                        ] {
+                            proptest::prop_assert_eq!(
+                                &bounded,
+                                &flat(other),
+                                "{} bundle diverged at phase {} value {:?} coin {} status {:?}",
+                                label,
+                                phase_sel,
+                                value,
+                                coin,
+                                status
+                            );
+                        }
+                    }
                 }
             }
         }

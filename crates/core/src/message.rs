@@ -259,7 +259,6 @@ pub struct MessageView<'a> {
     signature: OneTimeSignature,
     bytes: &'a [u8],
     count: usize,
-    cfg: Config,
 }
 
 impl<'a> MessageView<'a> {
@@ -299,7 +298,6 @@ impl<'a> MessageView<'a> {
             signature,
             bytes,
             count,
-            cfg: *cfg,
         })
     }
 
@@ -324,14 +322,35 @@ impl<'a> MessageView<'a> {
     ///
     /// Panics if `i` is out of range.
     pub fn entry(&self, i: usize) -> (Envelope, OneTimeSignature) {
+        let sig = self.sig_bytes(i).try_into().expect("DIGEST_LEN bytes");
+        (self.entry_envelope(i), OneTimeSignature(sig))
+    }
+
+    /// The envelope of justification entry `i`, read at fixed offsets
+    /// with no re-validation: [`MessageView::parse`] has already
+    /// checked every entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn entry_envelope(&self, i: usize) -> Envelope {
         assert!(i < self.count, "justification entry out of range");
-        let mut r = Reader {
-            bytes: self.bytes,
-            at: HEADER_LEN + i * ENTRY_LEN,
-        };
-        let env = decode_envelope(&mut r, &self.cfg).expect("validated in parse");
-        let sig = OneTimeSignature(r.take_digest().expect("validated in parse"));
-        (env, sig)
+        let b = &self.bytes[HEADER_LEN + i * ENTRY_LEN..][..ENVELOPE_LEN];
+        Envelope {
+            sender: usize::from(u16::from_be_bytes([b[0], b[1]])),
+            phase: u32::from_be_bytes([b[2], b[3], b[4], b[5]]),
+            value: match b[6] {
+                0 => Value::Zero,
+                1 => Value::One,
+                _ => Value::Bot,
+            },
+            coin_flip: b[7] & FLAG_COIN != 0,
+            status: if b[7] & FLAG_DECIDED != 0 {
+                Status::Decided
+            } else {
+                Status::Undecided
+            },
+        }
     }
 
     /// The raw signature bytes of justification entry `i`, borrowed
@@ -710,7 +729,16 @@ mod tests {
             vsel in 0u8..3,
             coin in proptest::arbitrary::any::<bool>(),
             decided in proptest::arbitrary::any::<bool>(),
-            just in proptest::collection::vec((0usize..7, 1u32..1000, 0u8..3), 0..6),
+            just in proptest::collection::vec(
+                (
+                    0usize..7,
+                    1u32..1000,
+                    0u8..3,
+                    proptest::arbitrary::any::<bool>(),
+                    proptest::arbitrary::any::<bool>(),
+                ),
+                0..6,
+            ),
         ) {
             let c = cfg();
             let value = [Value::Zero, Value::One, Value::Bot][vsel as usize];
@@ -725,8 +753,13 @@ mod tests {
                 signature: sig(9),
                 justification: just
                     .into_iter()
-                    .map(|(s, p, v)| {
-                        (env(s, p, [Value::Zero, Value::One, Value::Bot][v as usize]), sig(v))
+                    .map(|(s, p, v, coin, decided)| {
+                        let mut e = env(s, p, [Value::Zero, Value::One, Value::Bot][v as usize]);
+                        e.coin_flip = coin;
+                        if decided {
+                            e.status = Status::Decided;
+                        }
+                        (e, sig(v))
                     })
                     .collect(),
             };

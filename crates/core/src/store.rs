@@ -84,7 +84,7 @@ const VALUES: [Value; 3] = [Value::Zero, Value::One, Value::Bot];
 /// Encodes a record's observable content as a 4-bit combination code
 /// `value_idx * 4 + coin * 2 + status` (twelve possible codes, 0..12).
 #[inline]
-fn combo_code(value: Value, coin_flip: bool, status: Status) -> u8 {
+pub(crate) fn combo_code(value: Value, coin_flip: bool, status: Status) -> u8 {
     (value_idx(value) as u8) * 4
         + (coin_flip as u8) * 2
         + (status == Status::Decided) as u8
@@ -270,6 +270,42 @@ pub struct MessageStore {
     /// phases, maintained on insert and prune for O(1)
     /// [`MessageStore::approx_bytes`].
     sig_slots: usize,
+    /// See [`MessageStore::generation`].
+    generation: u64,
+}
+
+/// One phase of a [`MessageStore`], looked up once so a run of probes
+/// at that phase costs no further map lookups. Answers exactly as the
+/// store's own [`MessageStore::contains`] and
+/// [`MessageStore::holds_signature`] do for envelopes at that phase.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhaseProbe<'a> {
+    slot: Option<&'a PhaseSlot>,
+}
+
+impl PhaseProbe<'_> {
+    /// [`MessageStore::contains`] for an envelope at the probed phase.
+    /// O(1).
+    pub(crate) fn contains(&self, envelope: &Envelope) -> bool {
+        self.slot.is_some_and(|s| {
+            s.has_record(
+                envelope.sender,
+                envelope.value,
+                envelope.coin_flip,
+                envelope.status,
+            )
+        })
+    }
+
+    /// [`MessageStore::holds_signature`] for an envelope at the probed
+    /// phase, against the signature's raw bytes (so a caller can probe
+    /// straight out of a receive buffer). O(1).
+    pub(crate) fn holds_signature(&self, envelope: &Envelope, signature: &[u8]) -> bool {
+        self.slot.is_some_and(|s| {
+            s.signature_of(envelope.sender, envelope.value)
+                .is_some_and(|held| held.0[..] == *signature)
+        })
+    }
 }
 
 impl MessageStore {
@@ -279,6 +315,7 @@ impl MessageStore {
             n,
             phases: BTreeMap::new(),
             sig_slots: 0,
+            generation: 0,
         }
     }
 
@@ -307,7 +344,25 @@ impl MessageStore {
             },
         );
         self.sig_slots += slot.sig_slots - before;
+        self.generation += u64::from(fresh);
         fresh
+    }
+
+    /// A counter that changes whenever the store's contents do: on every
+    /// fresh [`MessageStore::insert`] and on every
+    /// [`MessageStore::prune_below`] that drops a phase, and on nothing
+    /// else. Equal generations of one store mean equal contents, so a
+    /// value computed from the store can be reused while the generation
+    /// stands.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The slot for `phase`, resolved once for a run of O(1) probes.
+    pub(crate) fn phase_probe(&self, phase: u32) -> PhaseProbe<'_> {
+        PhaseProbe {
+            slot: self.phases.get(&phase),
+        }
     }
 
     /// Number of processes.
@@ -358,9 +413,7 @@ impl MessageStore {
     /// i.e. whether [`MessageStore::insert`] of it would be a no-op.
     /// O(1).
     pub fn contains(&self, envelope: &Envelope) -> bool {
-        self.phases.get(&envelope.phase).is_some_and(|s| {
-            s.has_record(envelope.sender, envelope.value, envelope.coin_flip, envelope.status)
-        })
+        self.phase_probe(envelope.phase).contains(envelope)
     }
 
     /// Whether the signature stored for `envelope`'s
@@ -368,9 +421,8 @@ impl MessageStore {
     /// those three fields are consulted — exactly what a one-time
     /// signature authenticates. O(1).
     pub fn holds_signature(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
-        self.phases
-            .get(&envelope.phase)
-            .is_some_and(|s| s.signature_of(envelope.sender, envelope.value) == Some(*signature))
+        self.phase_probe(envelope.phase)
+            .holds_signature(envelope, &signature.0)
     }
 
     /// The best catch-up candidate: a record with phase strictly above
@@ -423,23 +475,26 @@ impl MessageStore {
         value: Option<Value>,
         limit: usize,
     ) -> Vec<(Envelope, OneTimeSignature)> {
-        let mut out = Vec::new();
-        let Some(slot) = self.phases.get(&phase) else {
-            return out;
-        };
-        for sender in 0..slot.n() {
-            if out.len() >= limit {
-                break;
-            }
+        self.first_records(phase, value).take(limit).collect()
+    }
+
+    /// The messages [`MessageStore::collect`] gathers, yielded lazily:
+    /// each sender's first record at `phase` (restricted to `value` if
+    /// given), in ascending sender order.
+    pub(crate) fn first_records(
+        &self,
+        phase: u32,
+        value: Option<Value>,
+    ) -> impl Iterator<Item = (Envelope, OneTimeSignature)> + '_ {
+        let slot = self.phases.get(&phase);
+        (0..slot.map_or(0, PhaseSlot::n)).filter_map(move |sender| {
+            let mut records = slot?.records(sender);
             let rec = match value {
-                Some(v) => slot.records(sender).find(|r| r.value == v),
-                None => slot.records(sender).next(),
-            };
-            if let Some(rec) = rec {
-                out.push((rec.to_envelope(sender, phase), rec.signature));
-            }
-        }
-        out
+                Some(v) => records.find(|r| r.value == v),
+                None => records.next(),
+            }?;
+            Some((rec.to_envelope(sender, phase), rec.signature))
+        })
     }
 
     /// Iterates over the DECIDE phases (`φ mod 3 = 0`) currently stored,
@@ -462,6 +517,7 @@ impl MessageStore {
         for slot in dead.values() {
             self.sig_slots -= slot.sig_slots;
         }
+        self.generation += u64::from(!dead.is_empty());
     }
 
     /// Lowest phase retained, if non-empty.
@@ -866,9 +922,12 @@ mod tests {
         let mut compact = MessageStore::new(4);
         let mut reference = RefStore::new(4);
         for &(sender, phase, v, coin, st, prune) in ops {
+            let generation = compact.generation();
             if prune == 0 {
+                let drops = reference.min_phase().is_some_and(|min| min < phase);
                 compact.prune_below(phase);
                 reference.prune_below(phase);
+                assert_eq!(compact.generation() - generation, u64::from(drops));
             } else {
                 let value = [Value::Zero, Value::One, Value::Bot][v as usize];
                 let status = if st == 0 {
@@ -883,7 +942,9 @@ mod tests {
                     coin_flip: coin,
                     status,
                 };
-                assert_eq!(compact.insert(&e, sig(v)), reference.insert(&e, sig(v)));
+                let fresh = compact.insert(&e, sig(v));
+                assert_eq!(fresh, reference.insert(&e, sig(v)));
+                assert_eq!(compact.generation() - generation, u64::from(fresh));
             }
             assert_eq!(compact.min_phase(), reference.min_phase());
             assert_eq!(compact.record_count(), reference.record_count());

@@ -60,6 +60,11 @@ impl std::error::Error for RejectReason {}
 
 /// Evidence = the persistent authentic store plus the attachments of the
 /// message under validation, with senders deduplicated across both.
+///
+/// `Turquois` passes only the attachments below its GC floor: every
+/// other authentic attachment is inserted into the store first, where
+/// it already counts, so the usual view has no extras and answers
+/// straight from the store's O(1) tallies.
 pub struct EvidenceView<'a> {
     store: &'a MessageStore,
     extra: &'a [(Envelope, OneTimeSignature)],
@@ -75,6 +80,9 @@ impl<'a> EvidenceView<'a> {
     /// Distinct senders with any message at `phase`.
     pub fn count_phase(&self, phase: u32) -> usize {
         let mut count = self.store.count_phase(phase);
+        if self.extra.is_empty() {
+            return count;
+        }
         let mut seen = BTreeSet::new();
         for (env, _) in self.extra {
             if env.phase == phase
@@ -90,6 +98,9 @@ impl<'a> EvidenceView<'a> {
     /// Distinct senders with a `(phase, value)` message.
     pub fn count_value(&self, phase: u32, value: Value) -> usize {
         let mut count = self.store.count_value(phase, value);
+        if self.extra.is_empty() {
+            return count;
+        }
         let mut seen = BTreeSet::new();
         for (env, _) in self.extra {
             if env.phase == phase
@@ -103,16 +114,20 @@ impl<'a> EvidenceView<'a> {
         count
     }
 
-    /// DECIDE phases (`mod 3 = 0`) strictly below `limit` present in
-    /// either evidence source, ascending.
-    fn decide_phases_below(&self, limit: u32) -> Vec<u32> {
-        let mut phases: BTreeSet<u32> = self.store.decide_phases().filter(|&p| p < limit).collect();
+    /// Whether `pred` holds for any DECIDE phase (`mod 3 = 0`) strictly
+    /// below `limit` present in either evidence source.
+    fn any_decide_phase_below(&self, limit: u32, pred: impl FnMut(u32) -> bool) -> bool {
+        let mut stored = self.store.decide_phases().take_while(|&p| p < limit);
+        if self.extra.is_empty() {
+            return stored.any(pred);
+        }
+        let mut phases: BTreeSet<u32> = stored.collect();
         for (env, _) in self.extra {
             if env.phase % 3 == 0 && env.phase < limit {
                 phases.insert(env.phase);
             }
         }
-        phases.into_iter().collect()
+        phases.into_iter().any(pred)
     }
 }
 
@@ -202,10 +217,9 @@ fn status_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<()
             };
             // "status = decided (and value v) requires more than (n+f)/2
             // messages of the form ⟨*, φ, v, *⟩ where φ mod 3 = 0."
-            let justified = view
-                .decide_phases_below(env.phase)
-                .into_iter()
-                .any(|psi| cfg.exceeds_quorum(view.count_value(psi, env.value)));
+            let justified = view.any_decide_phase_below(env.phase, |psi| {
+                cfg.exceeds_quorum(view.count_value(psi, env.value))
+            });
             if justified {
                 Ok(())
             } else {

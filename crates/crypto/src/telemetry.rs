@@ -60,6 +60,15 @@ pub fn count_cache_hit() {
     CACHE_HITS.with(|c| c.set(c.get() + 1));
 }
 
+/// Records `n` logical verifications answered without hashing: `n`
+/// verify calls plus `n` cache hits, one update per counter for a whole
+/// batch (a frame's already-held attachments).
+#[inline]
+pub fn count_verify_hits(n: u64) {
+    VERIFY_CALLS.with(|c| c.set(c.get() + n));
+    CACHE_HITS.with(|c| c.set(c.get() + n));
+}
+
 /// Records a memo-cache miss (verification actually recomputed).
 #[inline]
 pub fn count_cache_miss() {

@@ -176,17 +176,18 @@ impl Application for TurquoisApp {
         );
         {
             let mut probe = self.probe.borrow_mut();
-            let id = self.instance.id();
+            let (id, phase) = (self.instance.id(), self.instance.phase());
             match receipt.outcome {
                 turquois_core::MessageOutcome::Accepted
                 | turquois_core::MessageOutcome::Duplicate => probe.accepted[id] += 1,
                 _ => probe.rejected[id] += 1,
             }
+            probe.final_phase[id] = phase;
+            if receipt.newly_decided.is_some() {
+                probe.phase_at_decision[id] = Some(phase);
+            }
         }
-        self.probe.borrow_mut().final_phase[self.instance.id()] = self.instance.phase();
         if let Some(v) = receipt.newly_decided {
-            self.probe.borrow_mut().phase_at_decision[self.instance.id()] =
-                Some(self.instance.phase());
             ctx.decide(v);
         }
         if receipt.phase_advanced {
