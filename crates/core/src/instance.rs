@@ -44,8 +44,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use turquois_crypto::memo::MemoCache;
 use turquois_crypto::otss::{OneTimeSignature, SignError, Value};
-use turquois_crypto::sha256::multilane::sha256_many;
-use turquois_crypto::sha256::Digest;
 
 /// How many phases of evidence to retain behind the current phase.
 const GC_WINDOW: u32 = 8;
@@ -266,27 +264,9 @@ impl Turquois {
     /// cleared whenever the key material changes (see
     /// [`KeyRing::epoch_stamp`]).
     fn verify_cached(&mut self, env: &Envelope, sig: &OneTimeSignature) -> bool {
-        self.verify_cached_with(env, sig, None)
-    }
-
-    /// [`Turquois::verify_cached`] with `H(sig)` optionally precomputed
-    /// by a lane batch ([`Turquois::prehash_justification`]). The memo
-    /// lookup — hit/miss counters, insertion, eviction — is identical
-    /// either way; only where the hash work ran differs, so cache
-    /// evolution cannot depend on batching.
-    fn verify_cached_with(
-        &mut self,
-        env: &Envelope,
-        sig: &OneTimeSignature,
-        pre: Option<&Digest>,
-    ) -> bool {
         self.refresh_verify_cache();
-        let key = verify_key(env, sig);
         let keyring = &self.keyring;
-        self.verify_cache.lookup(key, || match pre {
-            Some(sig_hash) => keyring.verify_hashed(env, sig_hash),
-            None => keyring.verify(env, sig),
-        })
+        self.verify_cache.lookup(verify_key(env, sig), || keyring.verify(env, sig))
     }
 
     /// Whether the evidence store already holds `sig` for `env`'s
@@ -340,39 +320,6 @@ impl Turquois {
             }
         }
         absorbed
-    }
-
-    /// The per-message batched verify queue (DESIGN.md §12): collects
-    /// the pending entries whose memo keys will miss, hashes their
-    /// signatures through the multi-lane kernel in one batch, and
-    /// returns the per-entry precomputed hashes for
-    /// [`Turquois::verify_cached_with`]. Held evidence, entries already
-    /// cached, and duplicates within the bundle (the first lookup will
-    /// insert them) get `None`. So does everything when the whole bundle
-    /// (`bundle_len`, absorbed entries included) has fewer than two
-    /// entries, or when memoization is disabled: the `TURQUOIS_NO_MEMO`
-    /// baseline hashes every entry that is not held evidence one at a
-    /// time.
-    fn prehash_pending(&mut self, bundle_len: usize, pending: &[Pending]) -> Vec<Option<Digest>> {
-        let mut pre = vec![None; pending.len()];
-        if pending.is_empty() || bundle_len < 2 || !turquois_crypto::telemetry::memo_enabled() {
-            return pre;
-        }
-        self.refresh_verify_cache();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut lanes: Vec<usize> = Vec::new();
-        for (k, p) in pending.iter().enumerate() {
-            let key = verify_key(&p.env, &p.sig);
-            if p.held || self.verify_cache.contains(&key) || !seen.insert(key) {
-                continue;
-            }
-            lanes.push(k);
-        }
-        let inputs: Vec<&[u8]> = lanes.iter().map(|&k| &pending[k].sig.0[..]).collect();
-        for (&k, hash) in lanes.iter().zip(sha256_many(&inputs)) {
-            pre[k] = Some(hash);
-        }
-        pre
     }
 
     /// The configuration in force.
@@ -556,11 +503,9 @@ impl Turquois {
 
         // Authenticity of the others, in bundle order; inauthentic ones
         // are dropped. A held signature is authentic as it stands; the
-        // other memo-missing entries are hashed through the multi-lane
-        // kernel in one batch first. Authentic attachments within the GC
-        // window enter the evidence store; older ones count transiently
-        // through the view.
-        let pre = self.prehash_pending(view.justification_len(), &pending);
+        // others go through the memo cache. Authentic attachments within
+        // the GC window enter the evidence store; older ones count
+        // transiently through the view.
         let gc_floor = self.gc_floor();
         let mut sub_floor = std::mem::take(&mut self.sub_floor_scratch);
         sub_floor.clear();
@@ -572,7 +517,7 @@ impl Turquois {
                 turquois_crypto::telemetry::count_verify_hits(1);
                 true
             } else {
-                self.verify_cached_with(&env, &sig, pre[k].as_ref())
+                self.verify_cached(&env, &sig)
             };
             if !authentic {
                 continue;
@@ -829,46 +774,13 @@ mod tests {
             self.receive(bytes, Self::process_reference)
         }
 
-        fn prehash_justification(
-            &mut self,
-            justification: &MessageView<'_>,
-        ) -> Vec<Option<Digest>> {
-            let mut pre = vec![None; justification.justification_len()];
-            if justification.justification_len() < 2 || !turquois_crypto::telemetry::memo_enabled()
-            {
-                return pre;
-            }
-            self.refresh_verify_cache();
-            let mut seen = std::collections::BTreeSet::new();
-            let mut lanes: Vec<usize> = Vec::new();
-            for i in 0..justification.justification_len() {
-                let (env, sig) = justification.entry(i);
-                if self.evidence.holds_signature(&env, &sig) {
-                    continue;
-                }
-                let key = verify_key(&env, &sig);
-                if self.verify_cache.contains(&key) || !seen.insert(key) {
-                    continue;
-                }
-                lanes.push(i);
-            }
-            let inputs: Vec<&[u8]> = lanes.iter().map(|&i| justification.sig_bytes(i)).collect();
-            let hashes = sha256_many(&inputs);
-            for (&i, hash) in lanes.iter().zip(hashes) {
-                pre[i] = Some(hash);
-            }
-            pre
-        }
-
         fn process_reference(&mut self, view: &MessageView<'_>, receipt: &mut Receipt) {
             let (envelope, signature) = (view.envelope(), view.signature());
-            let pre = self.prehash_justification(view);
             let mut extras = Vec::new();
-            for (i, pre_i) in pre.iter().enumerate() {
+            for i in 0..view.justification_len() {
                 let (env, sig) = view.entry(i);
                 receipt.sig_verifications += 1;
-                let authentic = self.held_evidence(&env, &sig)
-                    || self.verify_cached_with(&env, &sig, pre_i.as_ref());
+                let authentic = self.held_evidence(&env, &sig) || self.verify_cached(&env, &sig);
                 if authentic {
                     extras.push((env, sig));
                 }

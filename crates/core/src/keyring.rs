@@ -229,20 +229,13 @@ impl KeyRing {
     /// Each epoch covers a disjoint phase range, so scan order cannot
     /// change the outcome.
     pub fn verify(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
-        self.verify_hashed(envelope, &turquois_crypto::sha256::sha256(&signature.0))
-    }
-
-    /// [`KeyRing::verify`] with `H(signature)` already computed — the
-    /// entry point for lane-batched callers that hash a whole
-    /// justification bundle through the multi-lane kernel first.
-    pub fn verify_hashed(&self, envelope: &Envelope, sig_hash: &turquois_crypto::sha256::Digest) -> bool {
-        let Some(epochs) = self.vks.get(envelope.sender) else {
-            return false;
-        };
-        epochs
-            .iter()
-            .rev()
-            .any(|vk| vk.verify_hashed(envelope.phase, envelope.value, sig_hash))
+        let sig_hash = turquois_crypto::sha256::sha256(&signature.0);
+        self.vks.get(envelope.sender).is_some_and(|epochs| {
+            epochs
+                .iter()
+                .rev()
+                .any(|vk| vk.verify_hashed(envelope.phase, envelope.value, &sig_hash))
+        })
     }
 
     /// A monotone fingerprint of the installed verification-key

@@ -150,45 +150,6 @@ impl HmacKey {
     }
 }
 
-/// Computes the HMAC tags of a batch of `(key, message)` pairs through
-/// the multi-lane kernel: all inner hashes run as one lane batch
-/// (resumed from each key's cached ipad midstate), then all outer
-/// finishes as a second batch. Bit-identical to calling
-/// [`HmacKey::mac`] per pair.
-///
-/// Falls back to the per-pair scalar path when memoization is disabled
-/// (`TURQUOIS_NO_MEMO` re-executes the pad compressions, and the batch
-/// path has no scratch equivalent) — keeping the disabled mode's work
-/// accounting exactly what it was before batching existed.
-pub fn hmac_many(items: &[(&HmacKey, &[u8])]) -> Vec<Digest> {
-    use crate::sha256::multilane::{digest_jobs, LaneJob};
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if !crate::telemetry::memo_enabled() {
-        return items.iter().map(|(key, msg)| key.mac(msg)).collect();
-    }
-    let inner_jobs: Vec<LaneJob<'_>> = items
-        .iter()
-        .map(|(key, msg)| LaneJob {
-            state: key.inner_mid,
-            prefix_len: BLOCK_LEN as u64,
-            msg,
-        })
-        .collect();
-    let inner = digest_jobs(&inner_jobs);
-    let outer_jobs: Vec<LaneJob<'_>> = items
-        .iter()
-        .zip(&inner)
-        .map(|((key, _), inner_digest)| LaneJob {
-            state: key.outer_mid,
-            prefix_len: BLOCK_LEN as u64,
-            msg: inner_digest.as_bytes(),
-        })
-        .collect();
-    digest_jobs(&outer_jobs)
-}
-
 /// Derives the pairwise HMAC key for the unordered node pair `{a, b}`
 /// from the run's pre-distribution `seed` (the paper establishes IPSec
 /// security associations between every pair before the run starts).
@@ -324,33 +285,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `hmac_many` must match per-pair `mac` on every engine and batch
-    /// size, including ragged batches and mixed keys/lengths.
-    #[test]
-    fn hmac_many_matches_per_pair_mac() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        let keys: Vec<HmacKey> = (0..5).map(|i| HmacKey::from_bytes(&[i as u8; 16])).collect();
-        let messages: Vec<Vec<u8>> = [0usize, 1, 55, 63, 64, 65, 120, 200]
-            .iter()
-            .map(|&len| (0..len).map(|i| i as u8).collect())
-            .collect();
-        for batch in [1usize, 3, 4, 7, 8, 13] {
-            let items: Vec<(&HmacKey, &[u8])> = (0..batch)
-                .map(|i| (&keys[i % keys.len()], &messages[i % messages.len()][..]))
-                .collect();
-            let expected: Vec<Digest> = items.iter().map(|(k, m)| k.mac(m)).collect();
-            set_scalar_sha(false);
-            assert_eq!(hmac_many(&items), expected, "lanes, batch {batch}");
-            set_scalar_sha(true);
-            assert_eq!(hmac_many(&items), expected, "scalar, batch {batch}");
-            set_scalar_sha(false);
-        }
-        assert!(hmac_many(&[]).is_empty());
-        set_scalar_sha(initial);
     }
 
     #[test]

@@ -91,19 +91,6 @@ impl<K: Ord + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, V> {
         result
     }
 
-    /// Whether `key` currently has a cached value, with *no* telemetry
-    /// or bookkeeping side effects.
-    ///
-    /// This is the batch prescan primitive: a delivery tick collects
-    /// the keys that will miss, computes them through the multi-lane
-    /// kernel, and feeds the precomputed values into the subsequent
-    /// [`MemoCache::lookup`] calls — which still count the miss and
-    /// insert the entry, so cache evolution and counters are identical
-    /// to unbatched operation.
-    pub fn contains(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
-    }
-
     /// Drops every entry whose key fails `keep` (garbage collection —
     /// callers tie this to their protocol's GC floor).
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {

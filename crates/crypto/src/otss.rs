@@ -201,8 +201,8 @@ impl VerificationKeyArray {
     }
 
     /// Like [`VerificationKeyArray::verify`] with `H(sig)` already
-    /// computed, so a multi-epoch scan (or a lane-batched caller)
-    /// hashes each signature exactly once instead of once per epoch.
+    /// computed, so a multi-epoch scan hashes each signature exactly
+    /// once instead of once per epoch.
     pub fn verify_hashed(&self, phase: u32, value: Value, sig_hash: &Digest) -> bool {
         self.key(phase, value)
             .is_some_and(|expected| *sig_hash == expected)
@@ -499,16 +499,11 @@ mod tests {
 
     #[test]
     fn scalar_and_batched_keygen_agree() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(true);
-        let scalar = KeyPairArray::generate_epoch(3, 4, 9, 123);
-        set_scalar_sha(false);
+        use crate::sha256::multilane::with_scalar;
+        let scalar = with_scalar(|| KeyPairArray::generate_epoch(3, 4, 9, 123));
         let lanes = KeyPairArray::generate_epoch(3, 4, 9, 123);
         assert_eq!(scalar.verification_keys(), lanes.verification_keys());
         assert_eq!(scalar.secrets, lanes.secrets);
-        set_scalar_sha(initial);
     }
 
     #[test]

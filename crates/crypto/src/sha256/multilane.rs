@@ -1,134 +1,90 @@
 //! Portable multi-lane SHA-256 compression (DESIGN.md §12).
 //!
 //! The scalar kernel in [`super`] processes one 64-byte block at a
-//! time. The hot paths, however, mostly hash *independent* short
-//! messages: the 256 revealed Lamport secrets of a hash-chain
-//! signature, the per-slot one-time-key derivations of an epoch, the
-//! per-destination link-HMAC finishes of a broadcast. This module runs
-//! up to eight such digests in lockstep through a struct-of-arrays
-//! compressor — every round variable is a `[u32; LANES]` and every
-//! operation an elementwise loop over the lanes, the shape rustc's
-//! autovectorizer turns into SIMD on any target without `unsafe` or
-//! intrinsics.
+//! time. Some single computations, however, produce their own batch of
+//! *independent* short messages: the 256 revealed Lamport secrets of a
+//! hash-chain signature, the secrets and per-level Merkle nodes of a
+//! key generation, the per-slot one-time-key derivations of an epoch.
+//! This module runs up to eight such digests in lockstep through a
+//! struct-of-arrays compressor — every round variable is a
+//! `[u32; LANES]` and every operation an elementwise loop over the
+//! lanes, the shape rustc's autovectorizer turns into SIMD on any
+//! target without `unsafe` or intrinsics.
 //!
 //! Determinism contract: the lane kernel computes bit-identical digests
-//! to the scalar kernel (same FIPS 180-4 rounds, same padding), and
-//! [`SCALAR_SHA_ENV`] forces every batch entry point back onto the
-//! scalar engine as a differential oracle —
-//! `crates/harness/tests/sha_differential.rs` asserts `table1` stdout
-//! is byte-identical either way. Batching is host-only restructuring:
-//! simulated CPU is charged per logical operation by
+//! to the scalar kernel (same FIPS 180-4 rounds, same padding); the
+//! unit tests compare the two engines directly, forcing the scalar one
+//! through a test-only per-thread override. Batching is host-only
+//! restructuring: simulated CPU is charged per logical operation by
 //! [`crate::cost::CostModel`] regardless of which engine ran.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
+use super::{Digest, DIGEST_LEN, H0, K};
 
-use super::{Digest, Sha256, DIGEST_LEN, H0, K};
-
-/// Environment variable that forces the batch entry points onto the
-/// scalar kernel (any non-empty value). The CI differential smoke runs
-/// a shrunk `table1` with and without it and asserts byte-identical
-/// output.
-pub const SCALAR_SHA_ENV: &str = "TURQUOIS_SCALAR_SHA";
-
-static SCALAR_SHA: AtomicBool = AtomicBool::new(false);
-static SCALAR_INIT: Once = Once::new();
-
-/// Whether batch digests must run on the scalar kernel. Defaults to
-/// `false` (multi-lane); the first call reads [`SCALAR_SHA_ENV`] once.
-/// [`set_scalar_sha`] overrides it at any time (the hot-path bench
-/// flips it between passes).
-pub fn scalar_sha_enabled() -> bool {
-    SCALAR_INIT.call_once(|| {
-        if std::env::var_os(SCALAR_SHA_ENV).is_some_and(|v| !v.is_empty()) {
-            SCALAR_SHA.store(true, Ordering::Relaxed);
-        }
-    });
-    SCALAR_SHA.load(Ordering::Relaxed)
+#[cfg(test)]
+thread_local! {
+    static FORCE_SCALAR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Forces the batch entry points onto the scalar (`true`) or
-/// multi-lane (`false`) kernel, overriding the environment. Takes
-/// effect process-wide for subsequent batches.
-pub fn set_scalar_sha(scalar: bool) {
-    SCALAR_INIT.call_once(|| {});
-    SCALAR_SHA.store(scalar, Ordering::Relaxed);
+/// Runs `f` with every [`sha256_many`] call on this thread routed to
+/// the scalar kernel — the reference the lane engine is tested against.
+#[cfg(test)]
+pub(crate) fn with_scalar<R>(f: impl FnOnce() -> R) -> R {
+    let previous = FORCE_SCALAR.with(|c| c.replace(true));
+    let out = f();
+    FORCE_SCALAR.with(|c| c.set(previous));
+    out
 }
 
-/// One pending digest in a batch: a compression state plus the message
-/// suffix still to absorb. `state`/`prefix_len` are [`H0`]/0 for a
-/// fresh digest, or a cached HMAC pad midstate (`prefix_len` 64) for a
-/// resumed finish.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneJob<'a> {
-    /// Compression state after absorbing exactly `prefix_len` bytes.
-    pub state: [u32; 8],
-    /// Bytes already absorbed into `state`; must be a multiple of 64.
-    pub prefix_len: u64,
-    /// Remaining message bytes (absorbed, then padded, then finished).
-    pub msg: &'a [u8],
-}
-
-/// Padded blocks a job's suffix compresses into (its prefix is already
-/// block-aligned, so only the suffix length matters).
+/// Padded blocks a message compresses into.
 #[inline]
-fn padded_blocks(suffix_len: usize) -> usize {
-    (suffix_len + 9).div_ceil(64)
+fn padded_blocks(len: usize) -> usize {
+    (len + 9).div_ceil(64)
 }
 
-/// Finishes one job on the scalar kernel — the differential oracle the
-/// lane kernel must match bit-for-bit.
-fn digest_scalar(job: &LaneJob<'_>) -> Digest {
-    let mut h = Sha256::from_midstate(job.state, job.prefix_len);
-    h.update(job.msg);
-    h.finalize()
-}
-
-/// Digests a batch of independent jobs, preserving input order.
+/// Digests each input independently, lane-batched, preserving input
+/// order. Bit-identical to mapping [`super::sha256`] over `inputs`.
 ///
-/// Jobs are grouped by padded block count so grouped lanes stay in
+/// Inputs are grouped by padded block count so grouped lanes stay in
 /// lockstep; each group drains through 8-wide lanes, with the ragged
-/// remainder taking 4-wide (2–4 jobs, padding with dummy lanes),
-/// 8-wide (5–7 jobs), or the scalar kernel (1 job). Under
-/// [`scalar_sha_enabled`] every job runs scalar instead.
-pub(crate) fn digest_jobs(jobs: &[LaneJob<'_>]) -> Vec<Digest> {
-    if scalar_sha_enabled() {
-        return jobs.iter().map(digest_scalar).collect();
+/// remainder taking 4-wide (2–4 inputs, padding with dummy lanes),
+/// 8-wide (5–7 inputs), or the scalar kernel (1 input).
+pub fn sha256_many(inputs: &[&[u8]]) -> Vec<Digest> {
+    #[cfg(test)]
+    if FORCE_SCALAR.with(std::cell::Cell::get) {
+        return inputs.iter().map(|msg| super::sha256(msg)).collect();
     }
-    let mut out = vec![Digest::ZERO; jobs.len()];
-    let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-    order.sort_by_key(|&i| padded_blocks(jobs[i as usize].msg.len()));
+    let mut out = vec![Digest::ZERO; inputs.len()];
+    let mut order: Vec<u32> = (0..inputs.len() as u32).collect();
+    order.sort_by_key(|&i| padded_blocks(inputs[i as usize].len()));
     let mut start = 0;
     while start < order.len() {
-        let nblocks = padded_blocks(jobs[order[start] as usize].msg.len());
+        let nblocks = padded_blocks(inputs[order[start] as usize].len());
         let mut end = start + 1;
-        while end < order.len() && padded_blocks(jobs[order[end] as usize].msg.len()) == nblocks {
+        while end < order.len() && padded_blocks(inputs[order[end] as usize].len()) == nblocks {
             end += 1;
         }
-        run_group(jobs, &order[start..end], nblocks, &mut out);
+        run_group(inputs, &order[start..end], nblocks, &mut out);
         start = end;
     }
     out
 }
 
 /// Drains one equal-block-count group through the widest fitting lanes.
-fn run_group(jobs: &[LaneJob<'_>], idxs: &[u32], nblocks: usize, out: &mut [Digest]) {
+fn run_group(inputs: &[&[u8]], idxs: &[u32], nblocks: usize, out: &mut [Digest]) {
     let mut rest = idxs;
     while rest.len() >= 8 {
-        run_lanes::<8>(jobs, &rest[..8], nblocks, out);
+        run_lanes::<8>(inputs, &rest[..8], nblocks, out);
         rest = &rest[8..];
     }
     match rest.len() {
         0 => {}
-        1 => out[rest[0] as usize] = digest_scalar(&jobs[rest[0] as usize]),
-        2..=4 => run_lanes::<4>(jobs, rest, nblocks, out),
-        _ => run_lanes::<8>(jobs, rest, nblocks, out),
+        1 => out[rest[0] as usize] = super::sha256(inputs[rest[0] as usize]),
+        2..=4 => run_lanes::<4>(inputs, rest, nblocks, out),
+        _ => run_lanes::<8>(inputs, rest, nblocks, out),
     }
 }
 
-static ZERO_BLOCK: [u8; 64] = [0u8; 64];
-
-/// Returns block `blk` of a job's padded suffix: streamed by reference
+/// Returns block `blk` of a padded message: streamed by reference
 /// from the message while full blocks last, then from the padded tail.
 #[inline]
 fn block_at<'b>(msg: &'b [u8], tail: &'b [u8; 128], blk: usize) -> &'b [u8; 64] {
@@ -143,41 +99,32 @@ fn block_at<'b>(msg: &'b [u8], tail: &'b [u8; 128], blk: usize) -> &'b [u8; 64] 
     }
 }
 
-/// Builds a job's padding tail (its final one or two blocks): leftover
-/// message bytes, 0x80, zeros, 64-bit big-endian total bit length —
-/// byte-identical to [`Sha256::finalize`]'s padding.
-fn padded_tail(job: &LaneJob<'_>) -> [u8; 128] {
+/// Builds a message's padding tail (its final one or two blocks):
+/// leftover message bytes, 0x80, zeros, 64-bit big-endian bit length —
+/// byte-identical to [`super::Sha256::finalize`]'s padding.
+fn padded_tail(msg: &[u8]) -> [u8; 128] {
     let mut tail = [0u8; 128];
-    let rem = job.msg.len() % 64;
-    tail[..rem].copy_from_slice(&job.msg[job.msg.len() - rem..]);
+    let rem = msg.len() % 64;
+    tail[..rem].copy_from_slice(&msg[msg.len() - rem..]);
     tail[rem] = 0x80;
     let tail_blocks = if rem < 56 { 1 } else { 2 };
-    let total_bits = (job.prefix_len + job.msg.len() as u64).wrapping_mul(8);
+    let total_bits = (msg.len() as u64).wrapping_mul(8);
     tail[tail_blocks * 64 - 8..tail_blocks * 64].copy_from_slice(&total_bits.to_be_bytes());
     tail
 }
 
-/// Runs up to `L` same-length jobs through the `L`-lane kernel.
+/// Runs up to `L` same-length messages through the `L`-lane kernel.
 /// Unused lanes replay lane 0's blocks (their results are discarded);
 /// only real lanes count as SHA blocks in telemetry.
-fn run_lanes<const L: usize>(jobs: &[LaneJob<'_>], idxs: &[u32], nblocks: usize, out: &mut [Digest]) {
+fn run_lanes<const L: usize>(inputs: &[&[u8]], idxs: &[u32], nblocks: usize, out: &mut [Digest]) {
     debug_assert!(!idxs.is_empty() && idxs.len() <= L);
     let real = idxs.len();
-    let lane_job = |lane: usize| &jobs[idxs[lane.min(real - 1)] as usize];
-    let mut tails = [[0u8; 128]; L];
-    let mut states = [[0u32; L]; 8];
-    for lane in 0..L {
-        let job = lane_job(lane);
-        tails[lane] = padded_tail(job);
-        for (word, s) in states.iter_mut().zip(job.state) {
-            word[lane] = s;
-        }
-    }
+    let lane_msg = |lane: usize| inputs[idxs[lane.min(real - 1)] as usize];
+    let tails: [[u8; 128]; L] = std::array::from_fn(|lane| padded_tail(lane_msg(lane)));
+    let mut states: [[u32; L]; 8] = H0.map(|h| [h; L]);
     for blk in 0..nblocks {
-        let mut blocks: [&[u8; 64]; L] = [&ZERO_BLOCK; L];
-        for (lane, slot) in blocks.iter_mut().enumerate() {
-            *slot = block_at(lane_job(lane).msg, &tails[lane], blk);
-        }
+        let blocks: [&[u8; 64]; L] =
+            std::array::from_fn(|lane| block_at(lane_msg(lane), &tails[lane], blk));
         crate::telemetry::count_lane_compress(real as u64, L as u64);
         compress_wide::<L>(&mut states, &blocks);
     }
@@ -291,28 +238,6 @@ fn compress_wide_portable<const L: usize>(state: &mut [[u32; L]; 8], blocks: &[&
     }
 }
 
-/// Digests each input independently, lane-batched, preserving input
-/// order. Bit-identical to mapping [`super::sha256`] over `inputs`.
-pub fn sha256_many(inputs: &[&[u8]]) -> Vec<Digest> {
-    let jobs: Vec<LaneJob<'_>> = inputs
-        .iter()
-        .map(|msg| LaneJob {
-            state: H0,
-            prefix_len: 0,
-            msg,
-        })
-        .collect();
-    digest_jobs(&jobs)
-}
-
-/// Serializes tests that flip the process-wide scalar/multilane knob
-/// or assert lane telemetry, so parallel test threads can't interleave.
-#[cfg(test)]
-pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::sha256;
@@ -344,57 +269,26 @@ mod tests {
     }
 
     #[test]
-    fn midstate_jobs_match_resumed_scalar() {
-        let prefix = patterned(128, 7);
-        let mut pre = Sha256::new();
-        pre.update(&prefix);
-        let mid = pre.midstate();
-        let suffixes: Vec<Vec<u8>> = (0..5).map(|i| patterned(40 + i, i as u8)).collect();
-        let jobs: Vec<LaneJob<'_>> = suffixes
-            .iter()
-            .map(|s| LaneJob {
-                state: mid,
-                prefix_len: 128,
-                msg: s,
-            })
-            .collect();
-        let got = digest_jobs(&jobs);
-        for (suffix, digest) in suffixes.iter().zip(&got) {
-            let mut h = Sha256::from_midstate(mid, 128);
-            h.update(suffix);
-            assert_eq!(*digest, h.finalize());
-        }
-    }
-
-    #[test]
     fn scalar_knob_forces_scalar_engine() {
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
         let msgs: Vec<Vec<u8>> = (0..8).map(|i| patterned(32, i)).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
-        set_scalar_sha(true);
         let before = HotpathSnapshot::now();
-        let scalar_out = sha256_many(&refs);
+        let scalar_out = with_scalar(|| sha256_many(&refs));
         let scalar_delta = HotpathSnapshot::now().delta_since(&before);
         assert_eq!(scalar_delta.lane_slots, 0, "scalar mode must not use lanes");
         assert_eq!(scalar_delta.sha_blocks, 8);
-        set_scalar_sha(false);
         let before = HotpathSnapshot::now();
         let lane_out = sha256_many(&refs);
         let lane_delta = HotpathSnapshot::now().delta_since(&before);
         assert_eq!(scalar_out, lane_out);
         assert_eq!(lane_delta.sha_blocks, 8, "real blocks only");
         assert_eq!(lane_delta.lane_blocks, 8);
-        assert_eq!(lane_delta.lane_slots, 8, "8 single-block jobs fill one 8-wide step");
-        set_scalar_sha(initial);
+        assert_eq!(lane_delta.lane_slots, 8, "8 single-block inputs fill one 8-wide step");
     }
 
     #[test]
     fn ragged_batch_counts_dummy_slots_not_blocks() {
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(false);
-        // 6 single-block jobs: one 8-wide step with 2 dummy lanes.
+        // 6 single-block inputs: one 8-wide step with 2 dummy lanes.
         let msgs: Vec<Vec<u8>> = (0..6).map(|i| patterned(20, i)).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
         let before = HotpathSnapshot::now();
@@ -406,12 +300,11 @@ mod tests {
         for (msg, digest) in msgs.iter().zip(&got) {
             assert_eq!(*digest, sha256(msg));
         }
-        set_scalar_sha(initial);
     }
 
     #[test]
     fn mixed_block_counts_group_correctly() {
-        // 3 one-block + 9 two-block jobs interleaved: grouping must
+        // 3 one-block + 9 two-block inputs interleaved: grouping must
         // keep outputs in input order.
         let msgs: Vec<Vec<u8>> = (0..12)
             .map(|i| patterned(if i % 4 == 0 { 16 } else { 90 }, i as u8))

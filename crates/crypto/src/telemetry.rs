@@ -7,8 +7,9 @@
 //! [`crate::cost::CostModel`] per *logical* operation, and the memo
 //! caches never change that: a cache hit charges exactly the same
 //! simulated cost as the verification it short-circuits. These
-//! counters exist so the wall-clock saving is *measurable*
-//! (`results/BENCH_hotpath.json`, the tables' opt-in stats line).
+//! counters exist so the wall-clock saving is *measurable*: the
+//! layer benchmark (`layerbench/`) reports them as `crypto.*`, and the
+//! tables print them on their opt-in `TURQUOIS_HOTPATH_STATS` line.
 //!
 //! All counters are `thread_local!`: the harness runner executes each
 //! `(cell, rep)` job start-to-finish on one worker thread, so a
@@ -166,8 +167,7 @@ static MEMO_INIT: Once = Once::new();
 
 /// Whether the memo caches may skip recomputation. Defaults to `true`;
 /// the first call reads [`NO_MEMO_ENV`] once. [`set_memo_enabled`]
-/// overrides it at any time (the hot-path bench flips it between
-/// passes).
+/// overrides it at any time.
 ///
 /// Disabled mode changes *only* whether the underlying hash work is
 /// re-executed: lookups, insertions, and hit/miss counters behave

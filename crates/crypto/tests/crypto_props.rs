@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use turquois_crypto::hashsig;
-use turquois_crypto::hmac::{hmac_many, HmacKey};
+use turquois_crypto::hmac::HmacKey;
 use turquois_crypto::otss::{KeyPairArray, OneTimeSignature, Value};
 use turquois_crypto::sha256::multilane::sha256_many;
 use turquois_crypto::sha256::{sha256, Digest, Sha256};
@@ -50,25 +50,6 @@ proptest! {
         prop_assert_eq!(batched.len(), inputs.len());
         for (input, digest) in inputs.iter().zip(&batched) {
             prop_assert_eq!(*digest, sha256(input));
-        }
-    }
-
-    /// Lane-batched HMAC finishes equal the scalar per-pair tags for
-    /// any ragged batch of keys and message lengths.
-    #[test]
-    fn hmac_many_matches_scalar_macs(
-        key_seeds in prop::collection::vec(any::<[u8; 16]>(), 1..4),
-        picks in prop::collection::vec((any::<u8>(), prop::collection::vec(any::<u8>(), 0..200)), 0..16),
-    ) {
-        let keys: Vec<HmacKey> = key_seeds.iter().map(|s| HmacKey::from_bytes(s)).collect();
-        let items: Vec<(&HmacKey, &[u8])> = picks
-            .iter()
-            .map(|(pick, msg)| (&keys[*pick as usize % keys.len()], &msg[..]))
-            .collect();
-        let batched = hmac_many(&items);
-        prop_assert_eq!(batched.len(), items.len());
-        for ((key, msg), tag) in items.iter().zip(&batched) {
-            prop_assert_eq!(*tag, key.mac(msg));
         }
     }
 

@@ -348,26 +348,6 @@ impl PairwiseKeys {
     pub fn mac(&self, peer: usize, message: &[u8]) -> Digest {
         self.with_key(peer, |k| k.mac(message))
     }
-
-    /// The HMAC tags for a batch of `(peer, message)` link
-    /// computations: derives any keys the batch touches for the first
-    /// time, then finishes every tag through one
-    /// [`turquois_crypto::hmac::hmac_many`] lane batch. Tag-for-tag
-    /// identical to calling [`PairwiseKeys::mac`] per item.
-    pub fn mac_many(&self, items: &[(usize, &[u8])]) -> Vec<Digest> {
-        let mut keys = self.keys.borrow_mut();
-        for &(peer, _) in items {
-            let slot = &mut keys[peer];
-            if slot.is_none() {
-                *slot = Some(turquois_crypto::hmac::pairwise_key(self.seed, self.me, peer));
-            }
-        }
-        let pairs: Vec<(&HmacKey, &[u8])> = items
-            .iter()
-            .map(|&(peer, msg)| (keys[peer].as_ref().expect("derived above"), msg))
-            .collect();
-        turquois_crypto::hmac::hmac_many(&pairs)
-    }
 }
 
 /// Bracha's protocol over the reliable (TCP-like) transport with
@@ -421,55 +401,14 @@ impl BrachaApp {
     /// The HMAC tag for `inner` on the link between this node and
     /// `peer`, via the simulation's shared tag pool: whichever endpoint
     /// computes it first pays the hashing, the other side hits. The key
-    /// shares `inner`'s allocation — no per-lookup copy. `pre` carries
-    /// tags the batched verify queue already computed for this tick
-    /// (see [`BrachaApp::batch_link_tags`]); the pool lookup still
-    /// counts the miss and inserts the entry, so cache evolution is
-    /// identical to the unbatched path.
-    fn link_tag_with(&self, peer: usize, inner: &Bytes, pre: &[(LinkTagKey, Digest)]) -> Digest {
+    /// shares `inner`'s allocation — no per-lookup copy.
+    fn link_tag(&self, peer: usize, inner: &Bytes) -> Digest {
         let me = self.engine.id();
         let (lo, hi) = (me.min(peer) as u16, me.max(peer) as u16);
-        let macs = &self.macs;
         bytes::telemetry::count_saved(inner.len());
         self.link_tags
             .borrow_mut()
-            .lookup((lo, hi, inner.clone()), || {
-                pre.iter()
-                    .find(|(k, _)| k.0 == lo && k.1 == hi && k.2 == *inner)
-                    .map(|(_, tag)| *tag)
-                    .unwrap_or_else(|| macs.mac(peer, inner))
-            })
-    }
-
-    /// The batched verify queue's prescan (DESIGN.md §12): collects the
-    /// link-tag keys `pairs` will miss in the shared pool and computes
-    /// them through one multi-lane HMAC batch. Returns an empty plan —
-    /// falling back to per-item hashing inside the lookups — for
-    /// singleton batches or when memoization is disabled, so the
-    /// `TURQUOIS_NO_MEMO` baseline does exactly the historical work.
-    fn batch_link_tags(&self, pairs: &[(usize, Bytes)]) -> Vec<(LinkTagKey, Digest)> {
-        if pairs.len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
-            return Vec::new();
-        }
-        let me = self.engine.id();
-        let requests: Vec<(LinkTagKey, (usize, Bytes))> = pairs
-            .iter()
-            .map(|(peer, inner)| {
-                let (lo, hi) = (me.min(*peer) as u16, me.max(*peer) as u16);
-                ((lo, hi, inner.clone()), (*peer, inner.clone()))
-            })
-            .collect();
-        let pool = self.link_tags.borrow();
-        let macs = &self.macs;
-        crate::verifyq::precompute_batch(
-            requests,
-            |key| pool.contains(key),
-            |misses| {
-                let items: Vec<(usize, &[u8])> =
-                    misses.iter().map(|(peer, inner)| (*peer, &inner[..])).collect();
-                macs.mac_many(&items)
-            },
-        )
+            .lookup((lo, hi, inner.clone()), || self.macs.mac(peer, inner))
     }
 
     /// Installs an outgoing-message mutator (used by the Byzantine
@@ -511,11 +450,6 @@ impl BrachaApp {
                 None => bytes,
             };
             let n = self.macs.n();
-            // The n per-destination tags of one broadcast are distinct
-            // pool keys; on first send they all miss, so drain them
-            // through one lane batch before the per-link loop.
-            let pairs: Vec<(usize, Bytes)> = (0..n).map(|dst| (dst, bytes.clone())).collect();
-            let pre = self.batch_link_tags(&pairs);
             // Stage all n wrapped frames of this broadcast (one HMAC per
             // destination link, as IPSec AH would) into one arena
             // chunk. Every frame is `ICV_LEN + |bytes|` long, so the
@@ -527,7 +461,7 @@ impl BrachaApp {
             let w = ICV_LEN + bytes.len();
             for dst in 0..n {
                 ctx.charge_cpu(self.cost.hmac(bytes.len()));
-                let tag = self.link_tag_with(dst, &bytes, &pre);
+                let tag = self.link_tag(dst, &bytes);
                 self.arena.mark();
                 let buf = self.arena.buf();
                 buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
@@ -554,19 +488,10 @@ impl Application for BrachaApp {
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
         let delivered = self.transport.on_frame(ctx, &frame);
-        // Queue this delivery's ICV checks and drain the pool misses
-        // through one lane batch (typically all hits — the sender's
-        // wrap already pooled each tag — so the plan is usually empty).
-        let pairs: Vec<(usize, Bytes)> = delivered
-            .iter()
-            .filter(|(_, w)| w.len() >= ICV_LEN)
-            .map(|(peer, w)| (*peer, w.slice(ICV_LEN..)))
-            .collect();
-        let pre = self.batch_link_tags(&pairs);
         for (peer, wrapped) in delivered {
             ctx.charge_cpu(self.cost.hmac(wrapped.len().saturating_sub(ICV_LEN)));
             let ok = wrapped.len() >= ICV_LEN && {
-                let expected = self.link_tag_with(peer, &wrapped.slice(ICV_LEN..), &pre);
+                let expected = self.link_tag(peer, &wrapped.slice(ICV_LEN..));
                 icv_matches(&expected, &wrapped[..ICV_LEN])
             };
             if !ok {

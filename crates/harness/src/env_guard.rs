@@ -15,13 +15,11 @@ pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
     "TURQUOIS_FM_FORCE_STALL",
-    "TURQUOIS_HOTPATH_JSON",
     "TURQUOIS_HOTPATH_STATS",
     "TURQUOIS_NO_MEMO",
     "TURQUOIS_PARTITION_JSON",
     "TURQUOIS_REPS",
     "TURQUOIS_SABOTAGE",
-    "TURQUOIS_SCALAR_SHA",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -54,29 +52,32 @@ mod tests {
     fn flags_typos_and_accepts_known_knobs() {
         // Set-and-inspect in one test: env mutation is process-global,
         // so keep every case in a single #[test] to avoid races with
-        // parallel test threads touching TURQUOIS_* variables.
+        // parallel test threads touching TURQUOIS_* variables. The memo
+        // switch reads its variable once; latch it first so setting
+        // TURQUOIS_NO_MEMO here cannot leak into other tests.
+        turquois_crypto::telemetry::memo_enabled();
         std::env::set_var("TURQUOIS_REPETITIONS", "50");
         std::env::set_var("TURQUOIS_FM_FORCE_STAL", "1");
         std::env::set_var("TURQUOIS_REPS", "2");
         std::env::set_var("TURQUOIS_FM_FORCE_STALL", "1");
         std::env::set_var("TURQUOIS_PARTITION_JSON", "/tmp/bp.json");
-        std::env::set_var("TURQUOIS_SCALAR_SHA", "1");
-        std::env::set_var("TURQUOIS_SCALER_SHA", "1");
+        std::env::set_var("TURQUOIS_NO_MEMO", "1");
+        std::env::set_var("TURQUOIS_NO_MEMOS", "1");
         let unknown = warn_unknown_env_vars();
         std::env::remove_var("TURQUOIS_REPETITIONS");
         std::env::remove_var("TURQUOIS_FM_FORCE_STAL");
         std::env::remove_var("TURQUOIS_REPS");
         std::env::remove_var("TURQUOIS_FM_FORCE_STALL");
         std::env::remove_var("TURQUOIS_PARTITION_JSON");
-        std::env::remove_var("TURQUOIS_SCALAR_SHA");
-        std::env::remove_var("TURQUOIS_SCALER_SHA");
+        std::env::remove_var("TURQUOIS_NO_MEMO");
+        std::env::remove_var("TURQUOIS_NO_MEMOS");
         assert!(unknown.contains(&"TURQUOIS_REPETITIONS".to_string()));
         assert!(unknown.contains(&"TURQUOIS_FM_FORCE_STAL".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_SCALER_SHA".to_string()));
+        assert!(unknown.contains(&"TURQUOIS_NO_MEMOS".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_REPS".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_FM_FORCE_STALL".to_string()));
         assert!(!unknown.contains(&"TURQUOIS_PARTITION_JSON".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_SCALAR_SHA".to_string()));
+        assert!(!unknown.contains(&"TURQUOIS_NO_MEMO".to_string()));
     }
 
     #[test]

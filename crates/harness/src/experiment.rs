@@ -81,8 +81,7 @@ impl HotpathTotals {
     }
 
     /// Multi-lane kernel occupancy in `[0, 1]`: real blocks per lane
-    /// slot (0 when nothing went through the lanes — e.g. under
-    /// `TURQUOIS_SCALAR_SHA=1`).
+    /// slot (0 when nothing went through the lanes).
     pub fn lanes_utilization(&self) -> f64 {
         if self.lane_slots == 0 {
             0.0
@@ -447,22 +446,6 @@ pub fn paper_table_supervised_on(
     time_limit: Duration,
     sabotage: Option<(usize, usize)>,
 ) -> (Vec<TableRow>, TableHealth, RunnerReport) {
-    paper_table_supervised_with(fault_load, sizes, reps, threads, time_limit, sabotage, |s| s)
-}
-
-/// [`paper_table_supervised_on`] with a per-cell scenario tweak applied
-/// after the standard grid construction — the hook the hot-path bench
-/// uses to shorten the key horizon (`Scenario::key_phases`) without
-/// perturbing the paper tables' scenarios.
-pub fn paper_table_supervised_with(
-    fault_load: FaultLoad,
-    sizes: &[usize],
-    reps: usize,
-    threads: usize,
-    time_limit: Duration,
-    sabotage: Option<(usize, usize)>,
-    tweak: impl Fn(Scenario) -> Scenario,
-) -> (Vec<TableRow>, TableHealth, RunnerReport) {
     let mut scenarios = Vec::new();
     let mut labels = Vec::new();
     for &n in sizes {
@@ -471,12 +454,12 @@ pub fn paper_table_supervised_with(
                 ProposalDistribution::Unanimous,
                 ProposalDistribution::Divergent,
             ] {
-                scenarios.push(tweak(
+                scenarios.push(
                     Scenario::new(protocol, n)
                         .proposals(dist)
                         .fault_load(fault_load)
                         .time_limit(time_limit),
-                ));
+                );
                 labels.push((n, format!("{} {}", protocol.name(), dist.name())));
             }
         }

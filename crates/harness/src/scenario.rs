@@ -22,6 +22,9 @@ use wireless_net::stats::NetStats;
 use wireless_net::time::SimTime;
 use wireless_net::topology::TopologySpec;
 
+/// Phases of one-time keys pre-distributed to each Turquois process.
+const KEY_PHASES: usize = 600;
+
 /// The protocol under test.
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
 pub enum Protocol {
@@ -184,7 +187,6 @@ pub struct Scenario {
     seed: u64,
     cost: CostModel,
     time_limit: Duration,
-    key_phases: usize,
     phy: wireless_net::PhyConfig,
     tick: Duration,
     topology: TopologySpec,
@@ -214,7 +216,6 @@ impl Scenario {
             seed: 0,
             cost: CostModel::pentium3_600(),
             time_limit: Duration::from_secs(120),
-            key_phases: 600,
             phy: wireless_net::PhyConfig::default(),
             tick: crate::adapters::TICK_INTERVAL,
             topology: TopologySpec::SingleDomain,
@@ -263,13 +264,6 @@ impl Scenario {
     /// Sets the simulated-time limit for one run.
     pub fn time_limit(mut self, limit: Duration) -> Scenario {
         self.time_limit = limit;
-        self
-    }
-
-    /// Sets how many phases of one-time keys are pre-distributed
-    /// (Turquois).
-    pub fn key_phases(mut self, phases: usize) -> Scenario {
-        self.key_phases = phases;
         self
     }
 
@@ -331,7 +325,7 @@ impl Scenario {
 
         let apps: Vec<Box<dyn Application>> = match self.protocol {
             Protocol::Turquois => {
-                let rings = KeyRing::trusted_setup(n, self.key_phases, self.seed);
+                let rings = KeyRing::trusted_setup(n, KEY_PHASES, self.seed);
                 rings
                     .into_iter()
                     .enumerate()
