@@ -28,7 +28,6 @@
 //! cost of the real RSA-class operations is charged by the simulator
 //! through the [`CryptoOps`] counters every call returns.
 
-use bytes::arena::EncodeArena;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -327,10 +326,49 @@ fn get_embedded(buf: &mut &[u8]) -> Option<EmbeddedPreVote> {
 }
 
 impl AbbaMessage {
-    /// Encodes for transmission.
+    /// Encodes for transmission into a buffer of exactly
+    /// [`encoded_len`](AbbaMessage::encoded_len) bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
+        match self {
+            AbbaMessage::PreVote {
+                round,
+                value,
+                share,
+                just,
+            } => {
+                buf.put_u8(KIND_PREVOTE);
+                buf.put_u32(*round);
+                buf.put_u8(*value as u8);
+                put_sig_share(&mut buf, share);
+                put_prevote_just(&mut buf, just);
+            }
+            AbbaMessage::MainVote {
+                round,
+                value,
+                share,
+                coin_share,
+                just,
+            } => {
+                buf.put_u8(KIND_MAINVOTE);
+                buf.put_u32(*round);
+                buf.put_u8(value.encode());
+                put_sig_share(&mut buf, share);
+                buf.put_u16(coin_share.party as u16);
+                put_digest(&mut buf, &coin_share.tag);
+                match just {
+                    MainVoteJust::ForValue(sig) => {
+                        buf.put_u8(0);
+                        put_digest(&mut buf, &sig.tag);
+                    }
+                    MainVoteJust::Abstain { zero, one } => {
+                        buf.put_u8(1);
+                        put_embedded(&mut buf, zero);
+                        put_embedded(&mut buf, one);
+                    }
+                }
+            }
+        }
         buf.freeze()
     }
 
@@ -355,51 +393,6 @@ impl AbbaMessage {
                             embedded_len(zero) + embedded_len(one)
                         }
                     }
-            }
-        }
-    }
-
-    /// Writes the wire encoding into any [`BufMut`] — the same bytes
-    /// [`AbbaMessage::encode`] produces, without forcing a fresh
-    /// buffer (arena callers pass [`bytes::arena::EncodeArena::buf`]).
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            AbbaMessage::PreVote {
-                round,
-                value,
-                share,
-                just,
-            } => {
-                buf.put_u8(KIND_PREVOTE);
-                buf.put_u32(*round);
-                buf.put_u8(*value as u8);
-                put_sig_share(buf, share);
-                put_prevote_just(buf, just);
-            }
-            AbbaMessage::MainVote {
-                round,
-                value,
-                share,
-                coin_share,
-                just,
-            } => {
-                buf.put_u8(KIND_MAINVOTE);
-                buf.put_u32(*round);
-                buf.put_u8(value.encode());
-                put_sig_share(buf, share);
-                buf.put_u16(coin_share.party as u16);
-                put_digest(buf, &coin_share.tag);
-                match just {
-                    MainVoteJust::ForValue(sig) => {
-                        buf.put_u8(0);
-                        put_digest(buf, &sig.tag);
-                    }
-                    MainVoteJust::Abstain { zero, one } => {
-                        buf.put_u8(1);
-                        put_embedded(buf, zero);
-                        put_embedded(buf, one);
-                    }
-                }
             }
         }
     }
@@ -721,8 +714,6 @@ pub struct Abba {
     decision: Option<bool>,
     stop_round: Option<u32>,
     verify_memo: MemoCache<AbbaVerifyKey>,
-    /// Pooled encode scratch for outgoing wire messages.
-    arena: EncodeArena,
     _rng: StdRng,
 }
 
@@ -763,16 +754,8 @@ impl Abba {
             decision: None,
             stop_round: None,
             verify_memo: MemoCache::new(ABBA_MEMO_CAP),
-            arena: EncodeArena::new(),
             _rng: StdRng::seed_from_u64(seed ^ 0xabba),
         }
-    }
-
-    /// Encodes `msg` into `out.send` through the engine's pooled arena
-    /// (the bytes [`AbbaMessage::encode`] would produce).
-    fn emit(&mut self, msg: &AbbaMessage, out: &mut AbbaOutput) {
-        out.send
-            .push(self.arena.encode_with(|b| msg.encode_into(b)));
     }
 
     /// Memoized verification: the [`CryptoOps`] counters are bumped by
@@ -829,7 +812,7 @@ impl Abba {
             share,
             just: PreVoteJust::Round1,
         };
-        self.emit(&msg, &mut out);
+        out.send.push(msg.encode());
         out
     }
 
@@ -1047,7 +1030,7 @@ impl Abba {
                     coin_share,
                     just,
                 };
-                self.emit(&msg, out);
+                out.send.push(msg.encode());
                 continue;
             }
 
@@ -1149,7 +1132,7 @@ impl Abba {
                     share,
                     just: next_just,
                 };
-                self.emit(&msg, out);
+                out.send.push(msg.encode());
                 // GC old rounds.
                 if next_round > 2 {
                     let floor = next_round - 2;
@@ -1273,12 +1256,6 @@ mod tests {
             // The arithmetic length matches what encode produced, so
             // `rsa_equivalent_size` needs no throwaway encode.
             assert_eq!(m.encoded_len(), bytes.len());
-            // encode_into appends the same bytes, even mid-buffer (the
-            // arena stages messages at arbitrary offsets).
-            let mut staged = Vec::new();
-            staged.put_slice(b"prefix");
-            m.encode_into(&mut staged);
-            assert_eq!(&staged[6..], &bytes[..]);
             // Truncations fail.
             for cut in 0..bytes.len() {
                 assert_eq!(AbbaMessage::decode(&bytes[..cut]), None, "cut {cut}");
@@ -1287,8 +1264,8 @@ mod tests {
         assert_eq!(AbbaMessage::decode(b""), None);
     }
 
-    /// Every message the arena emits through a full run is exactly
-    /// the owned encoding of what it decodes to.
+    /// Every message the engines emit through a full run decodes, and
+    /// re-encoding the decoded message gives back the same bytes.
     #[test]
     fn wire_bytes_match_owned_codec() {
         let n = 4;

@@ -21,8 +21,7 @@
 //! Validation is monotone in delivered evidence, so rejected messages
 //! are kept pending and re-examined as evidence accumulates.
 
-use crate::rbc::{RbcView, ReliableBroadcast, Tag};
-use bytes::arena::EncodeArena;
+use crate::rbc::{RbcMessage, RbcView, ReliableBroadcast, Tag};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,8 +193,6 @@ pub struct Bracha {
     rng: StdRng,
     /// Total RBC deliveries (diagnostics).
     deliveries: u64,
-    /// Pooled encode scratch for outgoing wire messages.
-    arena: EncodeArena,
 }
 
 impl Bracha {
@@ -218,7 +215,6 @@ impl Bracha {
             pending: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xb2ac_4a84),
             deliveries: 0,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -272,17 +268,14 @@ impl Bracha {
     /// Processes a wire message from link-layer sender `from`.
     ///
     /// The wire bytes are parsed into a borrowed [`RbcView`] (no
-    /// payload copy) and outgoing messages are encoded through the
-    /// engine's pooled [`EncodeArena`] (DESIGN.md §13).
+    /// payload copy, DESIGN.md §13).
     pub fn on_message(&mut self, from: usize, bytes: &[u8]) -> BrachaOutput {
         let mut out = BrachaOutput::default();
         let Some(view) = RbcView::parse(bytes) else {
             return out;
         };
         let rbc_out = self.rbc.on_view(from, &view);
-        for m in rbc_out.send {
-            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
-        }
+        out.send.extend(rbc_out.send.iter().map(RbcMessage::encode));
         for (tag, payload) in rbc_out.deliver {
             self.deliveries += 1;
             if payload.len() != 1 {
@@ -456,9 +449,7 @@ impl Bracha {
     fn send_current(&mut self, out: &mut BrachaOutput) {
         let payload = Bytes::copy_from_slice(&[self.value.encode()]);
         let rbc_out = self.rbc.broadcast(self.round, self.step, payload);
-        for m in rbc_out.send {
-            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
-        }
+        out.send.extend(rbc_out.send.iter().map(RbcMessage::encode));
     }
 }
 
@@ -691,8 +682,8 @@ mod tests {
         assert_eq!(out.newly_decided, None);
     }
 
-    /// Every message the arena emits through a full run is exactly
-    /// the owned encoding of what it decodes to.
+    /// Every message the engines emit through a full run decodes, and
+    /// re-encoding the decoded message gives back the same bytes.
     #[test]
     fn wire_bytes_match_owned_codec() {
         let n = 4;

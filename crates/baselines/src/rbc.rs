@@ -69,28 +69,22 @@ const KIND_READY: u8 = 3;
 const RBC_HEADER_LEN: usize = 1 + 2 + 4 + 1 + 2;
 
 impl RbcMessage {
-    /// Encodes for transmission.
+    /// Encodes for transmission into a buffer of exactly the
+    /// message's wire length.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(RBC_HEADER_LEN + self.payload().len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Writes the wire encoding into any [`BufMut`] — the same bytes
-    /// [`RbcMessage::encode`] produces, without forcing a fresh buffer
-    /// (arena callers pass [`bytes::arena::EncodeArena::buf`]).
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         let (kind, tag, payload) = match self {
             RbcMessage::Initial { tag, payload } => (KIND_INITIAL, tag, payload),
             RbcMessage::Echo { tag, payload } => (KIND_ECHO, tag, payload),
             RbcMessage::Ready { tag, payload } => (KIND_READY, tag, payload),
         };
+        let mut buf = BytesMut::with_capacity(RBC_HEADER_LEN + payload.len());
         buf.put_u8(kind);
         buf.put_u16(tag.origin as u16);
         buf.put_u32(tag.round);
         buf.put_u8(tag.step);
         buf.put_u16(payload.len() as u16);
         buf.put_slice(payload);
+        buf.freeze()
     }
 
     /// The payload borne by this message (any variant).
@@ -205,14 +199,6 @@ impl<'a> RbcView<'a> {
             _ => RbcMessage::Ready { tag, payload },
         }
     }
-}
-
-/// Credits the telemetry counters for one elided owned-decode copy of
-/// a `len`-byte payload: `Bytes::copy_from_slice` costs one buffer
-/// plus one `Arc` under the vendored stub.
-fn credit_elided_copy(len: usize) {
-    bytes::telemetry::count_saved(len);
-    bytes::telemetry::count_allocs_saved(2);
 }
 
 #[derive(Debug, Default)]
@@ -351,15 +337,12 @@ impl ReliableBroadcast {
                         tag,
                         payload: Bytes::copy_from_slice(view.payload),
                     });
-                } else {
-                    credit_elided_copy(view.payload.len());
                 }
             }
             KIND_ECHO => {
                 let inst = self.instances.entry(tag).or_default();
                 if let Some(senders) = inst.echoes.get_mut(view.payload) {
                     senders.insert(from);
-                    credit_elided_copy(view.payload.len());
                 } else {
                     inst.echoes
                         .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
@@ -370,7 +353,6 @@ impl ReliableBroadcast {
                 let inst = self.instances.entry(tag).or_default();
                 if let Some(senders) = inst.readies.get_mut(view.payload) {
                     senders.insert(from);
-                    credit_elided_copy(view.payload.len());
                 } else {
                     inst.readies
                         .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
@@ -711,34 +693,6 @@ mod tests {
         assert_eq!(e.on_message(1, &msg), RbcOutput::default());
     }
 
-    #[test]
-    fn encode_into_matches_encode() {
-        let tag = Tag {
-            origin: 5,
-            round: 12,
-            step: 3,
-        };
-        for msg in [
-            RbcMessage::Initial {
-                tag,
-                payload: Bytes::copy_from_slice(b"payload"),
-            },
-            RbcMessage::Echo {
-                tag,
-                payload: Bytes::new(),
-            },
-            RbcMessage::Ready {
-                tag,
-                payload: Bytes::copy_from_slice(&[0xff; 40]),
-            },
-        ] {
-            let mut staged = Vec::new();
-            staged.put_slice(b"prefix"); // arena chunks append mid-buffer
-            msg.encode_into(&mut staged);
-            assert_eq!(&staged[6..], &msg.encode()[..]);
-        }
-    }
-
     /// Mirrored engines driven by the owned decoder and the borrowed
     /// view stay in lockstep through an entire honest broadcast.
     #[test]
@@ -775,8 +729,8 @@ mod tests {
         }
     }
 
-    /// Duplicate payloads probe the sender tables without copying, and
-    /// the elided copies show up in the telemetry counters.
+    /// Duplicate payloads probe the sender tables without copying: only
+    /// the first sight of a payload copies it into an owned key.
     #[test]
     fn view_duplicates_save_copies() {
         let mut e = ReliableBroadcast::new(7, 2, 0);
@@ -792,15 +746,10 @@ mod tests {
         .encode();
         let view = RbcView::parse(&wire).expect("valid");
         let copied0 = bytes::telemetry::bytes_copied();
-        let saved0 = bytes::telemetry::bytes_saved();
-        let allocs0 = bytes::telemetry::allocs_saved();
         let _ = e.on_view(1, &view); // first sight: one owned key copy
         assert_eq!(bytes::telemetry::bytes_copied(), copied0 + 11);
-        assert_eq!(bytes::telemetry::bytes_saved(), saved0);
         let _ = e.on_view(2, &view); // duplicate: zero copies
         assert_eq!(bytes::telemetry::bytes_copied(), copied0 + 11);
-        assert_eq!(bytes::telemetry::bytes_saved(), saved0 + 11);
-        assert_eq!(bytes::telemetry::allocs_saved(), allocs0 + 2);
     }
 
     proptest::proptest! {

@@ -1,22 +1,18 @@
-//! Codec micro-benchmarks (host wall-clock): the flat-arena message
-//! codec the engines use against the owned-`Vec` encode/decode pair
-//! (DESIGN.md §13).
+//! Codec micro-benchmarks (host wall-clock): the owned decoder against
+//! the borrowed decode view the engines use (DESIGN.md §13), and the
+//! owned encoder.
 //!
 //! * **decode_owned** — [`Message::decode`], materializing the
 //!   justification entries into a fresh `Vec` per message.
 //! * **decode_view** — [`MessageView::parse`], leaving the entries as
 //!   offset ranges into the received buffer and re-reading every
 //!   signature slice, the steady-state receive path.
-//! * **encode_cold** — [`Message::encode`], one `BytesMut` builder and
-//!   one `freeze` allocation per message.
-//! * **encode_arena_warm** — [`Message::encode_into`] staged into a
-//!   recycled [`EncodeArena`] chunk, the steady-state send path (one
-//!   `Arc` per seal, no buffer allocation).
+//! * **encode_owned** — [`Message::encode`], one `BytesMut` of exactly
+//!   the wire size and one `freeze` per message, the send path.
 //!
 //! Measured on a justified rebroadcast bundle at n = 16, the largest
-//! group of the paper's grid — the allocation-dominated case.
+//! group of the paper's grid.
 
-use bytes::arena::EncodeArena;
 use criterion::{criterion_group, criterion_main, Criterion};
 use turquois_core::config::Config;
 use turquois_core::instance::Turquois;
@@ -75,14 +71,8 @@ fn bench_codec(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("encode_cold", |b| {
+    group.bench_function("encode_owned", |b| {
         b.iter(|| std::hint::black_box(&msg).encode())
-    });
-    let mut arena = EncodeArena::new();
-    // Prime the free list so the measured steady state reuses buffers.
-    drop(arena.encode_with(|buf| msg.encode_into(buf)));
-    group.bench_function("encode_arena_warm", |b| {
-        b.iter(|| arena.encode_with(|buf| std::hint::black_box(&msg).encode_into(buf)))
     });
     group.finish();
 }

@@ -38,7 +38,6 @@ use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, MessageStore, PhaseProbe};
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
-use bytes::arena::EncodeArena;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,10 +192,6 @@ pub struct Turquois {
     /// [`WireKey`] matches reuses it without building a bundle, and a
     /// rebuilt message equal to it reuses its wire bytes.
     last_wire: Option<(WireKey, Outbound)>,
-    /// Pooled encode scratch for outbound wire bytes (flat-arena
-    /// codec, DESIGN.md §13). Host-only: produces the same bytes
-    /// [`Message::encode`] would.
-    arena: EncodeArena,
     /// Recycled buffers for the message currently being processed: its
     /// unabsorbed justification entries, and its authentic entries
     /// below the GC floor. Cleared per message, so the steady state
@@ -241,7 +236,6 @@ impl Turquois {
             verify_cache: MemoCache::new(VERIFY_CACHE_CAP),
             cache_stamp: keyring.epoch_stamp(),
             last_wire: None,
-            arena: EncodeArena::new(),
             pending_scratch: Vec::new(),
             sub_floor_scratch: Vec::new(),
             keyring,
@@ -433,13 +427,10 @@ impl Turquois {
             justification,
         };
         // A rebuilt message equal to the last one (its inputs moved, the
-        // bundle did not) keeps the last wire bytes. Anything else is
-        // staged into the pooled chunk: the bytes `Message::encode`
-        // would produce, in one recycled allocation instead of two
-        // fresh ones.
+        // bundle did not) keeps the last wire bytes.
         let bytes = match &self.last_wire {
             Some((_, last)) if last.message == message => last.bytes.clone(),
-            _ => self.arena.encode_with(|buf| message.encode_into(buf)),
+            _ => message.encode(),
         };
         let out = Outbound { bytes, message };
         self.last_wire = Some((key, out.clone()));
@@ -1339,10 +1330,10 @@ mod tests {
         );
     }
 
-    /// The arena-staged wire bytes are exactly the owned encoding of
-    /// the outbound message, and the borrowed view decodes them to the
-    /// same message the owned decoder does, tick by tick through a run
-    /// to decision.
+    /// Every outbound wire buffer round-trips through a run to
+    /// decision: the owned decoder and the borrowed view both recover
+    /// the outbound message, and re-encoding it gives the same bytes —
+    /// including the buffers a re-broadcast reuses.
     #[test]
     fn wire_bytes_match_owned_codec() {
         let cfg = Config::evaluation(4).expect("valid");
@@ -1353,9 +1344,11 @@ mod tests {
                 .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for out in &outs {
-                assert_eq!(&out.bytes[..], &out.message.encode()[..]);
+                let decoded = Message::decode(&out.bytes, &cfg).expect("valid");
+                assert_eq!(decoded, out.message);
+                assert_eq!(&decoded.encode()[..], &out.bytes[..]);
                 let view = MessageView::parse(&out.bytes, &cfg).expect("valid");
-                assert_eq!(Ok(view.to_message()), Message::decode(&out.bytes, &cfg));
+                assert_eq!(view.to_message(), decoded);
                 for p in procs.iter_mut() {
                     p.on_message(&out.bytes);
                 }

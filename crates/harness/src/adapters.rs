@@ -13,7 +13,6 @@
 //!   charged to the node's virtual CPU through the
 //!   [`CostModel`].
 
-use bytes::arena::EncodeArena;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -223,10 +222,8 @@ impl Application for TurquoisApp {
 /// `icv(12) ‖ inner`.
 const ICV_LEN: usize = 12;
 
-/// Reference per-link HMAC framing (IPSec AH stand-in) from a
-/// precomputed tag: `icv(12) ‖ inner` in its own buffer. The adapter
-/// stages the same bytes through its arena.
-#[cfg(test)]
+/// Per-link HMAC framing (IPSec AH stand-in) from a precomputed tag:
+/// `icv(12) ‖ inner` in a buffer of exactly that length.
 fn mac_wrap(tag: &Digest, inner: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(ICV_LEN + inner.len());
     buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
@@ -366,10 +363,6 @@ pub struct BrachaApp {
     /// The simulation-wide link-tag pool; simulated cost is still
     /// charged per logical HMAC, only host hashing is shared.
     link_tags: SharedLinkTags,
-    /// Encode scratch for the per-destination HMAC wraps: the n wrapped
-    /// frames of one broadcast share a single arena chunk (DESIGN.md
-    /// §13) instead of n `BytesMut` builders.
-    arena: EncodeArena,
 }
 
 impl BrachaApp {
@@ -394,7 +387,6 @@ impl BrachaApp {
             mutate: None,
             decide_enabled: true,
             link_tags,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -405,7 +397,6 @@ impl BrachaApp {
     fn link_tag(&self, peer: usize, inner: &Bytes) -> Digest {
         let me = self.engine.id();
         let (lo, hi) = (me.min(peer) as u16, me.max(peer) as u16);
-        bytes::telemetry::count_saved(inner.len());
         self.link_tags
             .borrow_mut()
             .lookup((lo, hi, inner.clone()), || self.macs.mac(peer, inner))
@@ -449,28 +440,11 @@ impl BrachaApp {
                 Some(m) => m(&bytes),
                 None => bytes,
             };
-            let n = self.macs.n();
-            // Stage all n wrapped frames of this broadcast (one HMAC per
-            // destination link, as IPSec AH would) into one arena
-            // chunk. Every frame is `ICV_LEN + |bytes|` long, so the
-            // per-destination slices need no side table; CPU charges
-            // accumulate on the context and take effect after the
-            // callback, so batching the wraps ahead of the sends cannot
-            // move simulated time.
-            let base = self.arena.len();
-            let w = ICV_LEN + bytes.len();
-            for dst in 0..n {
+            // One HMAC per destination link, as IPSec AH would.
+            for dst in 0..self.macs.n() {
                 ctx.charge_cpu(self.cost.hmac(bytes.len()));
                 let tag = self.link_tag(dst, &bytes);
-                self.arena.mark();
-                let buf = self.arena.buf();
-                buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
-                buf.put_slice(&bytes);
-            }
-            let chunk = self.arena.seal();
-            for dst in 0..n {
-                let start = base + dst * w;
-                self.transport.send(ctx, dst, chunk.slice(start..start + w));
+                self.transport.send(ctx, dst, mac_wrap(&tag, &bytes));
             }
         }
     }
@@ -534,18 +508,6 @@ pub fn pad_to(inner: &[u8], total: usize) -> Bytes {
     buf.freeze()
 }
 
-/// Arena-path twin of [`pad_to`]: writes the same `len(4) ‖ msg ‖
-/// zeros` framing into an open arena chunk (which may already hold
-/// earlier staged bytes, hence the relative cursor). Byte-for-byte
-/// identical output to [`pad_to`].
-fn pad_into(buf: &mut Vec<u8>, inner: &[u8], total: usize) {
-    let start = buf.len();
-    let body = total.max(inner.len() + 4);
-    buf.put_u32(inner.len() as u32);
-    buf.put_slice(inner);
-    buf.resize(start + body, 0);
-}
-
 /// Strips [`pad_to`] framing.
 pub fn unpad(padded: &[u8]) -> Option<&[u8]> {
     if padded.len() < 4 {
@@ -563,9 +525,6 @@ pub struct AbbaApp {
     n: usize,
     cost: CostModel,
     probe: SharedProbe,
-    /// Encode scratch for the RSA-equivalent padding frames
-    /// (DESIGN.md §13).
-    arena: EncodeArena,
 }
 
 impl AbbaApp {
@@ -578,7 +537,6 @@ impl AbbaApp {
             n,
             cost,
             probe,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -607,9 +565,7 @@ impl AbbaApp {
             let rsa_size = turquois_baselines::abba::AbbaMessage::decode(&bytes)
                 .map(|m| m.rsa_equivalent_size())
                 .unwrap_or(bytes.len());
-            let padded = self
-                .arena
-                .encode_with(|buf| pad_into(buf, &bytes, rsa_size + 4));
+            let padded = pad_to(&bytes, rsa_size + 4);
             for dst in 0..self.n {
                 self.transport.send(ctx, dst, padded.clone());
             }
@@ -632,7 +588,6 @@ impl Application for AbbaApp {
             };
             // `inner` borrows straight out of the delivered buffer; the
             // engine parses it without an owned copy.
-            bytes::telemetry::count_saved(inner.len());
             self.probe.borrow_mut().accepted[self.engine.id()] += 1;
             let out = self.engine.on_message(peer, inner);
             self.dispatch(ctx, out);
@@ -728,53 +683,6 @@ mod tests {
         assert_eq!(unpad(&tight), Some(&b"hello"[..]));
         assert_eq!(unpad(b"xy"), None);
         assert_eq!(unpad(&[0, 0, 0, 9, 1]), None, "declared length overruns");
-    }
-
-    /// The arena padding twin is byte-identical to [`pad_to`], even
-    /// when staged mid-chunk after earlier bytes.
-    #[test]
-    fn pad_into_matches_pad_to() {
-        let mut arena = EncodeArena::new();
-        for (inner, total) in [(&b"hello"[..], 64usize), (b"hello", 3), (b"", 10)] {
-            let owned = pad_to(inner, total);
-            let staged = arena.encode_with(|buf| pad_into(buf, inner, total));
-            assert_eq!(&owned[..], &staged[..]);
-        }
-        arena.mark();
-        arena.buf().put_slice(b"prefix");
-        let start = arena.len();
-        arena.mark();
-        pad_into(arena.buf(), b"hello", 32);
-        let end = arena.len();
-        let chunk = arena.seal();
-        assert_eq!(&chunk.slice(start..end)[..], &pad_to(b"hello", 32)[..]);
-    }
-
-    /// One Bracha broadcast's n HMAC wraps staged into a single arena
-    /// chunk produce the same frames as per-destination [`mac_wrap`].
-    #[test]
-    fn arena_wrap_batch_matches_mac_wrap() {
-        let keys = PairwiseKeys::new(0, 4, 9);
-        let inner = b"broadcast body";
-        let mut arena = EncodeArena::new();
-        let base = arena.len();
-        let w = ICV_LEN + inner.len();
-        for dst in 0..4 {
-            let tag = keys.mac(dst, inner);
-            arena.mark();
-            let buf = arena.buf();
-            buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
-            buf.put_slice(inner);
-        }
-        let chunk = arena.seal();
-        for dst in 0..4 {
-            let start = base + dst * w;
-            let staged = chunk.slice(start..start + w);
-            let owned = mac_wrap(&keys.mac(dst, inner), inner);
-            assert_eq!(&staged[..], &owned[..]);
-            let key = turquois_crypto::hmac::pairwise_key(9, 0, dst);
-            assert_eq!(mac_unwrap(&key, &staged), Some(&inner[..]));
-        }
     }
 
     #[test]

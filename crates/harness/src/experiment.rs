@@ -39,21 +39,12 @@ pub struct HotpathTotals {
     pub cache_misses: u64,
     /// Payload bytes physically copied constructing `Bytes` buffers.
     pub bytes_copied: u64,
-    /// Payload bytes the zero-copy receive path handed on by reference
-    /// instead of copying (each count is a copy an owned decode makes).
-    pub bytes_saved: u64,
     /// Real compression blocks that went through the multi-lane kernel
     /// (a subset of `sha_blocks`; dummy lanes are never counted).
     pub lane_blocks: u64,
     /// Lane slots those multi-lane calls provided (`width × rounds`);
     /// `lane_blocks / lane_slots` is the kernel's occupancy.
     pub lane_slots: u64,
-    /// Heap allocations the flat-arena codec elided versus owned
-    /// per-message builders (DESIGN.md §13): arena seals, shared
-    /// duplicate payloads, and borrowed justification views.
-    pub allocs_saved: u64,
-    /// Bytes sealed through [`bytes::arena::EncodeArena`] chunks.
-    pub arena_bytes: u64,
 }
 
 impl HotpathTotals {
@@ -64,11 +55,8 @@ impl HotpathTotals {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.bytes_copied += other.bytes_copied;
-        self.bytes_saved += other.bytes_saved;
         self.lane_blocks += other.lane_blocks;
         self.lane_slots += other.lane_slots;
-        self.allocs_saved += other.allocs_saved;
-        self.arena_bytes += other.arena_bytes;
     }
 
     /// Cache hit rate in `[0, 1]` (0 when no lookups happened).
@@ -98,9 +86,6 @@ impl HotpathTotals {
 fn with_hotpath<T>(f: impl FnOnce() -> T) -> (T, HotpathTotals) {
     let crypto_before = HotpathSnapshot::now();
     let copied_before = bytes::telemetry::bytes_copied();
-    let saved_before = bytes::telemetry::bytes_saved();
-    let allocs_before = bytes::telemetry::allocs_saved();
-    let arena_before = bytes::telemetry::arena_bytes();
     let out = f();
     let d = HotpathSnapshot::now().delta_since(&crypto_before);
     let hotpath = HotpathTotals {
@@ -109,11 +94,8 @@ fn with_hotpath<T>(f: impl FnOnce() -> T) -> (T, HotpathTotals) {
         cache_hits: d.cache_hits,
         cache_misses: d.cache_misses,
         bytes_copied: bytes::telemetry::bytes_copied().saturating_sub(copied_before),
-        bytes_saved: bytes::telemetry::bytes_saved().saturating_sub(saved_before),
         lane_blocks: d.lane_blocks,
         lane_slots: d.lane_slots,
-        allocs_saved: bytes::telemetry::allocs_saved().saturating_sub(allocs_before),
-        arena_bytes: bytes::telemetry::arena_bytes().saturating_sub(arena_before),
     };
     (out, hotpath)
 }
@@ -562,18 +544,14 @@ pub fn table_stats_line(rows: &[TableRow]) -> String {
     if hotpath_stats_enabled() {
         line.push_str(&format!(
             " | hotpath: sha-blocks={} verifies={} cache-hits={} cache-misses={} \
-             hit-rate={:.1}% bytes-copied={} bytes-saved={} lanes-utilization={:.1}% \
-             allocs-saved={} arena-bytes={}",
+             hit-rate={:.1}% bytes-copied={} lanes-utilization={:.1}%",
             hotpath.sha_blocks,
             hotpath.verify_calls,
             hotpath.cache_hits,
             hotpath.cache_misses,
             100.0 * hotpath.hit_rate(),
             hotpath.bytes_copied,
-            hotpath.bytes_saved,
-            100.0 * hotpath.lanes_utilization(),
-            hotpath.allocs_saved,
-            hotpath.arena_bytes
+            100.0 * hotpath.lanes_utilization()
         ));
     }
     line

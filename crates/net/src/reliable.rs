@@ -29,8 +29,7 @@
 use crate::config::overhead;
 use crate::frame::{NodeId, ReceivedFrame};
 use crate::sim::NodeCtx;
-use bytes::arena::EncodeArena;
-use bytes::{BufMut, Bytes};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
@@ -149,8 +148,6 @@ pub struct ReliableEndpoint {
     delivered_messages: u64,
     sent_messages: u64,
     transport_retransmits: u64,
-    /// Pooled encode scratch for outgoing segments.
-    arena: EncodeArena,
 }
 
 impl ReliableEndpoint {
@@ -163,7 +160,6 @@ impl ReliableEndpoint {
             delivered_messages: 0,
             sent_messages: 0,
             transport_retransmits: 0,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -228,17 +224,14 @@ impl ReliableEndpoint {
             let ack = peer.next_expected_in;
             peer.ack_due_at = None; // piggybacked
             let rto = peer.rto;
-            // One arena chunk carries the whole segment; the packed
-            // batch the retransmit queue must retain is a zero-copy
-            // slice of it (the bytes are written exactly once).
-            let seg_mark = self.arena.mark();
-            put_segment_header(self.arena.buf(), KIND_DATA, seq, ack);
-            let payload_mark = self.arena.mark();
-            pack_batch_into(self.arena.buf(), &batch);
-            let end = self.arena.len();
-            let chunk = self.arena.seal();
-            let payload = chunk.slice(payload_mark..end);
-            let segment = chunk.slice(seg_mark..end);
+            // One buffer carries the whole segment; the packed batch the
+            // retransmit queue must retain is a zero-copy slice of it
+            // (the bytes are written exactly once).
+            let mut buf = BytesMut::with_capacity(HEADER_LEN + 2 + bytes);
+            put_segment_header(&mut buf, KIND_DATA, seq, ack);
+            pack_batch_into(&mut buf, &batch);
+            let segment = buf.freeze();
+            let payload = segment.slice(HEADER_LEN..);
             peer.unacked.push_back(Unacked {
                 seq,
                 payload,
@@ -324,7 +317,7 @@ impl ReliableEndpoint {
                     let ack = self.peers[dst].next_expected_in;
                     let next_seq = self.peers[dst].next_seq_out;
                     self.peers[dst].ack_due_at = None;
-                    let segment = self.encode_segment(KIND_ACK, next_seq, ack, &[]);
+                    let segment = encode(KIND_ACK, next_seq, ack, &[]);
                     ctx.unicast(dst, segment, overhead::TCP_ACK_SEGMENT);
                 } else {
                     work_left = true;
@@ -346,7 +339,7 @@ impl ReliableEndpoint {
                     head.rto_deadline = now + rto;
                     (head.seq, head.payload.clone())
                 };
-                let segment = self.encode_segment(KIND_DATA, head_seq, ack, &head_payload);
+                let segment = encode(KIND_DATA, head_seq, ack, &head_payload);
                 self.transport_retransmits += 1;
                 ctx.unicast(dst, segment, overhead::TCP);
             }
@@ -394,14 +387,14 @@ impl ReliableEndpoint {
             ctx.set_timer(TICK_INTERVAL, TICK_ID);
         }
     }
+}
 
-    /// Encodes one wire segment through the endpoint's pooled arena.
-    fn encode_segment(&mut self, kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-        self.arena.encode_with(|buf| {
-            put_segment_header(buf, kind, seq, ack);
-            buf.put_slice(payload);
-        })
-    }
+/// Encodes one wire segment carrying an already-packed `payload`.
+fn encode(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
+    put_segment_header(&mut buf, kind, seq, ack);
+    buf.put_slice(payload);
+    buf.freeze()
 }
 
 fn put_segment_header<B: BufMut>(buf: &mut B, kind: u8, seq: u64, ack: u64) {
@@ -460,24 +453,15 @@ mod tests {
     use crate::fault::{IidLoss, NoFaults, TargetedLoss};
     use crate::sim::{Application, SimConfig, Simulator};
     use crate::time::SimTime;
-    use bytes::BytesMut;
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Reference owned-buffer builders: one fresh allocation per
-    /// packed batch and per segment. The arena paths must produce
-    /// exactly these bytes.
+    /// A packed batch on its own, as [`ReliableEndpoint::flush`] writes
+    /// it after the segment header.
     fn pack_batch(messages: &[Bytes]) -> Bytes {
         let mut buf =
             BytesMut::with_capacity(2 + messages.iter().map(|m| m.len() + 2).sum::<usize>());
         pack_batch_into(&mut buf, messages);
-        buf.freeze()
-    }
-
-    fn encode(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        put_segment_header(&mut buf, kind, seq, ack);
-        buf.put_slice(payload);
         buf.freeze()
     }
 
@@ -638,43 +622,101 @@ mod tests {
         }
     }
 
-    /// Every segment the endpoint's arena encodes equals the owned
-    /// reference encoding, for both segment kinds and across arena
-    /// chunk reuse.
-    #[test]
-    fn encode_segment_matches_owned_encoding() {
-        let mut endpoint = ReliableEndpoint::new(0, 2);
-        for round in 0..64u64 {
-            let payload = vec![round as u8; (round as usize * 37) % 700];
-            for kind in [KIND_DATA, KIND_ACK] {
-                let arena = endpoint.encode_segment(kind, round, round * 3, &payload);
-                assert_eq!(arena, encode(kind, round, round * 3, &payload));
+    /// Retained state of a [`Probe`] pair: the sender's `Unacked`
+    /// payloads by sequence number, and the first copy of every data
+    /// segment the receiver got.
+    #[derive(Default)]
+    struct ProbeLog {
+        retained: BTreeMap<u64, Bytes>,
+        received: BTreeMap<u64, Bytes>,
+    }
+
+    /// Node 0 sends `messages` to node 1 through a real endpoint; both
+    /// record into the shared [`ProbeLog`].
+    struct Probe {
+        transport: ReliableEndpoint,
+        messages: Vec<Bytes>,
+        log: Rc<RefCell<ProbeLog>>,
+    }
+
+    impl Probe {
+        fn record_retained(&self) {
+            let mut log = self.log.borrow_mut();
+            for u in &self.transport.peers[1].unacked {
+                log.retained.entry(u.seq).or_insert_with(|| u.payload.clone());
             }
         }
     }
 
-    /// The arena flush writes the packed batch once: the retained
-    /// payload and the transmitted segment share one chunk, and the
-    /// segment bytes equal the owned reference encoding.
+    impl Application for Probe {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            for m in std::mem::take(&mut self.messages) {
+                self.transport.send(ctx, 1, m);
+            }
+            self.record_retained();
+        }
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+            if let Some((KIND_DATA, seq, _, _)) = decode(&frame.payload) {
+                let mut log = self.log.borrow_mut();
+                log.received.entry(seq).or_insert_with(|| frame.payload.clone());
+            }
+            let _ = self.transport.on_frame(ctx, &frame);
+            self.record_retained();
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
+            let _ = self.transport.on_timer(ctx, timer);
+            self.record_retained();
+        }
+        fn on_unicast_failed(&mut self, ctx: &mut NodeCtx<'_>, dst: NodeId, payload: Bytes) {
+            self.transport.on_unicast_failed(ctx, dst, payload);
+        }
+    }
+
+    /// `send` writes each data segment once: the segment delivered
+    /// through the simulator is the header followed by the packed
+    /// batch, and the payload the sender retains for retransmission is
+    /// a slice of that same allocation.
     #[test]
-    fn arena_segment_matches_owned_bytes() {
-        let batch = vec![Bytes::copy_from_slice(b"one"), Bytes::copy_from_slice(b"two")];
-        let payload = pack_batch(&batch);
-        let owned_segment = encode(KIND_DATA, 3, 9, &payload);
-        let mut arena = EncodeArena::new();
-        let seg_mark = arena.mark();
-        put_segment_header(arena.buf(), KIND_DATA, 3, 9);
-        let payload_mark = arena.mark();
-        pack_batch_into(arena.buf(), &batch);
-        let end = arena.len();
-        let chunk = arena.seal();
-        assert_eq!(&chunk.slice(seg_mark..end)[..], &owned_segment[..]);
-        assert_eq!(&chunk.slice(payload_mark..end)[..], &payload[..]);
-        // Shared storage: the payload slice points inside the segment.
-        assert_eq!(
-            chunk.slice(payload_mark..end).as_ptr(),
-            chunk.slice(seg_mark..end)[HEADER_LEN..].as_ptr()
-        );
+    fn flushed_segment_is_written_once() {
+        let messages: Vec<Bytes> = (0..6)
+            .map(|i| Bytes::from(format!("message-{i}").into_bytes()))
+            .collect();
+        let log = Rc::new(RefCell::new(ProbeLog::default()));
+        let apps: Vec<Box<dyn Application>> = (0..2)
+            .map(|i| {
+                Box::new(Probe {
+                    transport: ReliableEndpoint::new(i, 2),
+                    messages: if i == 0 { messages.clone() } else { Vec::new() },
+                    log: log.clone(),
+                }) as Box<dyn Application>
+            })
+            .collect();
+        let cfg = SimConfig {
+            seed: 3,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, Box::new(NoFaults), apps);
+        sim.run_until(SimTime::from_millis(2_000), |_| false);
+
+        let log = log.borrow();
+        assert!(log.received.len() >= 2, "the burst needs several segments");
+        let mut carried = Vec::new();
+        for (seq, segment) in &log.received {
+            let (_, _, ack, payload) = decode(segment).expect("valid segment");
+            let batch = unpack_batch(&payload);
+            assert!(!batch.is_empty());
+            assert_eq!(*segment, encode(KIND_DATA, *seq, ack, &pack_batch(&batch)));
+            let retained = &log.retained[seq];
+            assert_eq!(retained, &payload);
+            assert_eq!(
+                retained.as_ptr(),
+                segment[HEADER_LEN..].as_ptr(),
+                "segment {seq}: retained payload is a slice of the sent buffer"
+            );
+            carried.extend(batch);
+        }
+        assert!(log.received.values().any(|s| unpack_batch(&s.slice(HEADER_LEN..)).len() > 1));
+        assert_eq!(carried, messages);
     }
 
     #[test]
